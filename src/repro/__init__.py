@@ -57,7 +57,6 @@ from .core import (
     DEFAULT_ARRIVALS,
     DistributionSpecifier,
     ExecutionBackend,
-    FastReplayBackend,
     FileCategory,
     FileCategorySpec,
     FileSystemCreator,
@@ -140,7 +139,6 @@ __all__ = [
     "FileSystemLayout",
     "OpRecord",
     "ExecutionBackend",
-    "FastReplayBackend",
     "PhaseModel",
     "RealRunner",
     "RunResult",

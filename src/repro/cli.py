@@ -137,10 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--backend", choices=RUN_BACKENDS,
                      default="nfs",
                      help="execution backend: nfs/local/afs run the DES "
-                          "(full queueing fidelity); fast replays the "
-                          "identical op stream with analytic service "
-                          "times, no engine; fast-columnar does the same "
-                          "through vectorized array batches")
+                          "(full queueing fidelity); fast-columnar "
+                          "replays the identical op stream with analytic "
+                          "service times, no engine")
     arrival_args(sim)
     stream_out_args(sim)
     obs_args(sim)
@@ -187,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--backend",
                            choices=RUN_BACKENDS,
                            default="nfs",
-                           help="DES backend, or `fast`/`fast-columnar` "
-                                "for engine-free analytic replay (same op "
+                           help="DES backend, or `fast-columnar` for "
+                                "engine-free analytic replay (same op "
                                 "stream, many times the ops/s)")
     fleet_run.add_argument("--oplog", metavar="PATH", default=None,
                            help="also collect and write the merged usage log")
@@ -329,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate via the fleet layer when > 1")
     t_val.add_argument("--backend", choices=RUN_BACKENDS,
                        default="nfs",
-                       help="regeneration backend; `fast`/`fast-columnar` "
-                            "skip the DES "
-                            "(content-identical, so fidelity measures "
-                            "other than think time are unaffected)")
+                       help="regeneration backend; `fast-columnar` skips "
+                            "the DES (content-identical, so fidelity "
+                            "measures other than think time are "
+                            "unaffected)")
     t_val.add_argument("--threshold", type=float, default=None,
                        help="KS pass/fail threshold (default 0.35)")
     t_val.add_argument("--seed", type=int, default=None,

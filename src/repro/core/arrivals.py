@@ -28,9 +28,8 @@ offered load varies with time.  This module supplies that missing axis:
   session (the *churn*: a user leaves and returns rather than running
   sessions back to back).  Schedules are computed once, up front, and
   handed to every backend, so the DES (which delays each user process
-  by its offset), the scalar fast replay (which seeds the user's clock
-  from it) and the columnar replay (which folds it into its cumsum)
-  time sessions off the *same* floats.
+  by its offset) and the engine-free replay (which folds it into its
+  clock cumsum) time sessions off the *same* floats.
 
 This is the LWS-style explicit inter-session timing (arXiv:2301.08851)
 grafted onto the thesis pipeline, with PBench-style time-varying

@@ -3,37 +3,33 @@
 Stage three of the generation pipeline (plan → synthesize → execute):
 an :class:`ExecutionBackend` replays the pure operation streams produced
 by :class:`~repro.core.synthesis.SessionGenerator` and attaches timing.
-Three implementations ship:
+Two implementations ship:
 
 * :class:`DesBackend` — the discrete-event simulation path.  Every call
   runs through a simulated file-system client (NFS, local-disk or
   AFS-like), users contend for shared server/network/disk resources, and
   response times come off the engine clock.  Full timing fidelity, one
   Python-generator resumption chain per call.
-* :class:`FastReplayBackend` — the scalar throughput path.  Each op is
-  charged the *analytic mean* service time of the same calibrated
-  timing parameters (:class:`AnalyticServiceModel`), with no queueing
-  and no engine.  Several times the ops/s (the floor ``benchmarks/
-  bench_backends.py`` enforces is 5x); identical op stream.
-* :class:`ColumnarReplayBackend` — the array-native throughput path.
-  Whole sessions arrive as :class:`~repro.core.opbatch.OpBatch`
-  columns; service times, start clocks and the time-limit cutoff are
-  single array expressions, and batches flow to batch-aware sinks via
-  ``record_batch``.  Several times the scalar fast path again (floors:
-  4x fast, 20x the DES); identical records, timing included.
+* :class:`ColumnarReplayBackend` — the engine-free throughput path.
+  Each op is charged the *analytic mean* service time of the same
+  calibrated timing parameters (:class:`AnalyticServiceModel`), with no
+  queueing and no engine.  A user's sessions arrive as one
+  :class:`~repro.core.opbatch.OpBatch`; service times, start clocks and
+  the time-limit cutoff are single array expressions, and batches flow
+  to batch-aware sinks via ``record_batch``.  The floor
+  ``benchmarks/bench_backends.py`` enforces is 40x the DES's ops/s.
 
-All record through the :class:`~repro.core.oplog.OpSink` protocol.
+Both record through the :class:`~repro.core.oplog.OpSink` protocol.
 Because synthesis is a pure function of ``(root seed, user id)``, the
 backends emit **byte-identical** op sequences (op kind, path, size) —
-only ``start_us``/``response_us`` differ, and the two engine-free paths
-agree even on those, bit for bit.  ``benchmarks/bench_backends.py``
-asserts the identity and records the measured speedups in
-``BENCH_backends.json``.
+only ``start_us``/``response_us`` differ.  ``benchmarks/
+bench_backends.py`` asserts the identity and records the measured
+speedup in ``BENCH_backends.json``.
 
-What the fast path gives up: queueing.  Users do not contend, so
+What the engine-free path gives up: queueing.  Users do not contend, so
 response times carry no load dependence — Figure 5.6-style saturation
-experiments need the DES.  Use ``fast`` when the *content* of the
-workload is the product (trace generation, calibration loops, fleet
+experiments need the DES.  Use ``fast-columnar`` when the *content* of
+the workload is the product (trace generation, calibration loops, fleet
 scale-out) and ``nfs``/``local``/``afs`` when timing is.
 """
 
@@ -56,13 +52,7 @@ from .opbatch import (
     OpBatch,
     REFERENCE_KIND_CODES,
 )
-from .oplog import (
-    OpRecord,
-    OpSink,
-    SessionAccounting,
-    SessionRecord,
-    apply_op_effects,
-)
+from .oplog import OpSink, SessionRecord
 from .synthesis import SessionGenerator
 
 __all__ = [
@@ -70,7 +60,6 @@ __all__ = [
     "ExecutionBackend",
     "DesBackend",
     "AnalyticServiceModel",
-    "FastReplayBackend",
     "ColumnarReplayBackend",
 ]
 
@@ -133,14 +122,15 @@ class ExecutionBackend(abc.ABC):
     ) -> float:
         """Run every task, record into ``log``, return the duration (µs).
 
-        ``tasks`` may be any iterable — the engine-free backends drain
+        ``tasks`` may be any iterable — the engine-free backend drains
         it lazily, one user at a time, so a fleet-scale run can stream
         task construction instead of materialising every user's
-        generator up front.  ``time_limit_us`` truncates the run: the DES stops the shared
-        engine clock at the limit, the fast backends stop each user's
-        own clock (users are independent there).  The boundary rule is
-        the same everywhere: **an op starting exactly at the limit is
-        excluded** (``start >= limit`` drops the op).  A session cut off
+        generator up front.  ``time_limit_us`` truncates the run: the
+        DES stops the shared engine clock at the limit, the engine-free
+        backend stops each user's own clock (users are independent
+        there).  The boundary rule is the same everywhere: **an op
+        starting exactly at the limit is excluded** (``start >= limit``
+        drops the op).  A session cut off
         by the limit records its executed ops but no session summary —
         an interrupted user never reaches its accounting epilogue.
         """
@@ -192,7 +182,7 @@ class DesBackend(ExecutionBackend):
 class AnalyticServiceModel:
     """Mean per-call service times derived from an ``NfsTiming`` set.
 
-    The fast backend applies the DES's calibrated timing parameters
+    The engine-free backend applies the DES's calibrated timing parameters
     *analytically*: each call is charged the expected cost of its
     components under no contention —
 
@@ -205,8 +195,8 @@ class AnalyticServiceModel:
       per-op CPU charge, and per byte the network transmission, server
       CPU, and amortised disk-transfer cost.
 
-    Deterministic by construction: no random state, so the fast path
-    consumes exactly the same random streams as the DES path (none
+    Deterministic by construction: no random state, so the engine-free
+    path consumes exactly the same random streams as the DES path (none
     beyond synthesis).
     """
 
@@ -264,16 +254,30 @@ class AnalyticServiceModel:
         return out
 
 
-class FastReplayBackend(ExecutionBackend):
+class ColumnarReplayBackend(ExecutionBackend):
     """Analytic replay: the op stream without the discrete-event engine.
 
-    Users run on independent virtual clocks (no cross-user queueing);
-    each op is charged its :class:`AnalyticServiceModel` mean service
-    time and streamed straight to the :class:`~repro.core.oplog.OpSink`.
-    The reported duration is the slowest user's clock.
+    Users run one after another on independent virtual clocks (no
+    cross-user queueing); each op is charged its
+    :class:`AnalyticServiceModel` mean service time.  The reported
+    duration is the slowest user's clock.  Per user, the work is array
+    expressions over one fused batch of all its sessions:
+
+    * service times come from
+      :meth:`AnalyticServiceModel.response_us_array` in one shot;
+    * ``start_us`` is one cumulative sum over the interleaved
+      service/think/gap contribution column, seeded with the user's
+      first-login offset, so every start equals the running clock sum;
+    * a ``time_limit_us`` cutoff is one ``searchsorted`` over the
+      (non-decreasing) op start column;
+    * the executed slice goes to the sink via ``record_batch`` when the
+      sink has one, else through the :meth:`OpBatch.to_records` bridge.
+
+    ``tests/core/scalar_reference.py`` keeps the per-op replay loop as
+    the oracle these records are compared against, timing included.
     """
 
-    name = "fast"
+    name = "fast-columnar"
 
     def __init__(self, timing: NfsTiming | None = None,
                  model: AnalyticServiceModel | None = None):
@@ -289,91 +293,6 @@ class FastReplayBackend(ExecutionBackend):
         for task in tasks:
             duration = max(duration, self._run_user(task, log, time_limit_us))
         return duration
-
-    def _run_user(self, task: UserSessions, log: OpSink,
-                  limit: float | None) -> float:
-        generator = task.generator
-        user_id = generator.user_id
-        type_name = generator.user_type.name
-        response_us = self.model.response_us
-        record_op = log.record_op
-        clock = task.offset_us
-        for session_id in range(task.sessions):
-            if limit is not None and clock >= limit:
-                break
-            accounting = SessionAccounting(user_id, type_name, session_id,
-                                           clock)
-            path_by_plan: dict[int, str] = {}
-            truncated = False
-            for op in generator.generate_session(session_id):
-                kind = op.kind
-                if kind == "think":
-                    clock += op.size
-                    continue
-                if limit is not None and clock >= limit:
-                    truncated = True
-                    break
-                if kind in ("open", "creat"):
-                    path_by_plan[op.plan_id] = op.path
-                # No I/O happens here, so the recorded size is the
-                # synthesized one — the same rules as the other backends,
-                # via the shared helper.
-                moved = apply_op_effects(op, accounting)
-                service = response_us(kind, op.size)
-                record_op(
-                    OpRecord(
-                        user_id=user_id,
-                        user_type=type_name,
-                        session_id=session_id,
-                        op=kind,
-                        path=op.path or path_by_plan.get(op.plan_id, ""),
-                        category_key=op.category_key or "",
-                        size=moved,
-                        start_us=clock,
-                        response_us=service,
-                    )
-                )
-                clock += service
-            if limit is not None and not truncated and clock > limit:
-                # A trailing think pushed the clock past the limit with no
-                # further op to notice: the session did not complete within
-                # the limit either.
-                truncated = True
-            if truncated:
-                # Matches the DES cutoff: the interrupted session's ops
-                # are recorded but its summary is not.
-                clock = limit if limit is not None else clock
-                break
-            log.record_session(accounting.finish(clock))
-            gap = task.gap_after_us(session_id)
-            if gap > 0:
-                clock += gap
-        return clock if limit is None else min(clock, limit)
-
-
-class ColumnarReplayBackend(FastReplayBackend):
-    """Array-native fast replay: whole sessions as one :class:`OpBatch`.
-
-    Same analytic timing model and same op stream as
-    :class:`FastReplayBackend` — the scalar per-op loop (dataclass per
-    op, three Python calls per record) is replaced by array expressions
-    over one batch per session:
-
-    * service times come from
-      :meth:`AnalyticServiceModel.response_us_array` in one shot;
-    * ``start_us`` is a cumulative sum over the interleaved
-      service/think contribution column, seeded with the user's clock so
-      float rounding matches the scalar running sum bit for bit;
-    * a ``time_limit_us`` cutoff is one ``searchsorted`` over the
-      (non-decreasing) op start column;
-    * the executed slice goes to the sink via ``record_batch`` when the
-      sink has one, else through the :meth:`OpBatch.to_records` bridge.
-
-    The golden tests pin byte-identical op records, session summaries
-    and tallies against both the scalar fast path and the DES.
-    """
-
-    name = "fast-columnar"
 
     def _run_user(self, task: UserSessions, log: OpSink,
                   limit: float | None) -> float:
@@ -398,8 +317,8 @@ class ColumnarReplayBackend(FastReplayBackend):
         # think pause, with each session's logout gap spliced in after
         # its last think — and cumsum once, seeded with the user's
         # offset: np.cumsum accumulates left to right, so every op's
-        # start (and every inter-session gap hop) reproduces the scalar
-        # running float sum bit for bit.  Adding the final session's
+        # start (and every inter-session gap hop) is the running float
+        # sum of the clock advanced op by op, bit for bit.  Adding the final session's
         # 0.0 gap is exact (x + 0.0 == x for the non-negative clocks).
         contrib = np.zeros(2 * n + n_sessions + 1, dtype=np.float64)
         contrib[0] = offset
@@ -436,9 +355,8 @@ class ColumnarReplayBackend(FastReplayBackend):
         truncated = False
         for s in range(n_sessions):
             if limit is not None and starts_list[s] >= limit:
-                # The scalar loop breaks before entering this session;
-                # no rows recorded (every one starts at or past the
-                # limit), no summary.
+                # The session starts at or past the limit: no rows
+                # recorded (every one starts there too), no summary.
                 break
             lo, hi = bounds[s], bounds[s + 1]
             executed = hi if hi <= cut else cut
@@ -469,7 +387,7 @@ class ColumnarReplayBackend(FastReplayBackend):
     def _resolved_paths(rec: OpBatch) -> np.ndarray:
         """Fill pathless rows from their plan's open/creat row.
 
-        The columnar equivalent of the scalar executors' ``path_by_plan``
+        The columnar equivalent of the per-op executors' ``path_by_plan``
         dict: a dense plan-id → path-index table built from the executed
         open/creat rows (every data op's open precedes it in the batch,
         so the table always covers the lookups).

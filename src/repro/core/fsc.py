@@ -194,8 +194,8 @@ class FileSystemCreator:
         are physically created: shared (``/system``, ``/notes``) files are
         built whenever ``materialize_shared`` is true (the default), but
         USER-owned files are only written for the given user ids.  The
-        engine-free fast backends pass ``materialize_shared=False`` as
-        well — they never read the store, only the manifest.  The
+        engine-free backend passes ``materialize_shared=False`` as
+        well — it never reads the store, only the manifest.  The
         returned manifest always covers the **whole** population, and
         every size is sampled in the same order regardless — so a shard
         that materialises only its own users still computes a layout

@@ -12,7 +12,7 @@ thesis's block diagram does:
    operations from the usage-distribution tables, and an
    :class:`~repro.core.execution.ExecutionBackend` replays them — inside
    the discrete-event simulation (simulated SUN NFS, local-disk or
-   AFS-like backends), through the engine-free analytic ``fast`` replay,
+   AFS-like backends), through the engine-free analytic ``fast-columnar`` replay,
    or against a real directory.
 
 Sampling in both the FSC and the USIM goes through the GDS's CDF tables —
@@ -47,7 +47,6 @@ from .execution import (
     ColumnarReplayBackend,
     DesBackend,
     ExecutionBackend,
-    FastReplayBackend,
     UserSessions,
 )
 from .fsc import FileSystemCreator, FileSystemLayout
@@ -70,13 +69,13 @@ __all__ = [
 SIM_BACKENDS = ("nfs", "local", "afs")
 """Discrete-event simulation backends (full queueing fidelity)."""
 
-FAST_BACKENDS = ("fast", "fast-columnar")
-"""Engine-free analytic replays: scalar per-op, and columnar
-(array-native batches through the same service model)."""
+FAST_BACKENDS = ("fast-columnar",)
+"""Engine-free analytic replay: array-native batches charged the
+analytic mean service times (no queueing, no engine)."""
 
 RUN_BACKENDS = SIM_BACKENDS + FAST_BACKENDS
 """Everything :meth:`WorkloadGenerator.run_simulated` accepts: the DES
-backends plus the engine-free analytic replays."""
+backends plus the engine-free analytic replay."""
 
 
 class TableSampler:
@@ -407,10 +406,11 @@ class WorkloadGenerator:
 
         ``backend`` selects the execution stage: ``nfs``/``local``/``afs``
         run the discrete-event simulation (shared resources, queueing,
-        full timing fidelity); ``fast`` replays the identical op stream
-        through :class:`~repro.core.execution.FastReplayBackend`,
-        charging analytic mean service times with no engine — several
-        times the ops/s when only the workload *content* matters.
+        full timing fidelity); ``fast-columnar`` replays the identical
+        op stream through
+        :class:`~repro.core.execution.ColumnarReplayBackend`, charging
+        analytic mean service times with no engine — tens of times the
+        ops/s when only the workload *content* matters.
 
         ``user_ids`` restricts the run to a subset of the population (the
         fleet layer's shards).  Each selected user keeps the identity —
@@ -424,8 +424,8 @@ class WorkloadGenerator:
         first-login offset and inter-session gaps are resolved up front
         (one :class:`~repro.core.arrivals.SessionSchedule` per user,
         from the user's own named streams) and handed to the backend —
-        the DES delays the user process, the fast paths seed the user's
-        clock.  The op stream is byte-identical with or without
+        the DES delays the user process, the engine-free replay seeds
+        the user's clock.  The op stream is byte-identical with or without
         arrivals; only the timeline moves.
 
         ``observer`` attaches a :class:`~repro.obs.RunObserver`: stage
@@ -463,9 +463,7 @@ class WorkloadGenerator:
                         materialize_shared=False,
                     )
                 layout = self._manifest_layout
-                executor = (ColumnarReplayBackend(timing)
-                            if backend == "fast-columnar"
-                            else FastReplayBackend(timing))
+                executor = ColumnarReplayBackend(timing)
             else:
                 handle = self.build_simulation(backend, timing)
                 layout = self.create_file_system(

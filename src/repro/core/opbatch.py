@@ -3,7 +3,7 @@
 A scalar op stream is a sequence of :class:`~repro.core.synthesis.
 SessionOp` / :class:`~repro.core.oplog.OpRecord` dataclasses; at fleet
 scale the per-object allocation and per-field attribute access dominate
-the fast backend's runtime.  :class:`OpBatch` stores the same stream as
+an engine-free replay's runtime.  :class:`OpBatch` stores the same stream as
 a struct-of-arrays: one int8 *kind code* per operation, int64
 ``plan_id``/``size`` columns, float64 timing columns, and small interned
 string tables for paths, category keys and user-type names (string
@@ -11,8 +11,9 @@ columns hold int32 indices into those tables, ``-1`` meaning "absent").
 
 The batch is the unit the columnar pipeline moves around:
 
-* :meth:`repro.core.synthesis.SessionGenerator.generate_session_batch`
-  produces one batch per login session (timing columns zero);
+* :meth:`repro.core.synthesis.SessionGenerator.generate_user_batch`
+  produces one batch per user, all its sessions fused (timing columns
+  zero);
 * :class:`repro.core.execution.ColumnarReplayBackend` fills
   ``start_us``/``response_us`` with one array expression and hands the
   executed slice to the sink;
@@ -24,9 +25,8 @@ The batch is the unit the columnar pipeline moves around:
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,
-:meth:`iter_session_ops`) are exact inverses of the scalar structures,
-which is what the golden tests in ``tests/core/test_columnar_golden.py``
-pin down.
+:meth:`iter_session_ops`) are exact inverses of the per-op structures,
+which ``tests/core/test_opbatch.py`` pins down.
 """
 
 from __future__ import annotations
@@ -310,13 +310,13 @@ class OpBatch:
         ]
 
     def iter_session_ops(self) -> Iterator:
-        """Bridge to scalar :class:`~repro.core.synthesis.SessionOp`\\ s.
+        """The batch as :class:`~repro.core.synthesis.SessionOp`\\ s.
 
-        Reconstructs the synthesized stream exactly — each op followed
-        by its think op (from the ``think_us`` column), ``None`` for
-        absent strings/plan ids, and ``OpenFlags`` values — so a
-        columnar session can be compared element-for-element against
-        :meth:`~repro.core.synthesis.SessionGenerator.generate_session`.
+        Each op is followed by its think op (from the ``think_us``
+        column); absent strings/plan ids become ``None`` and flags
+        become ``OpenFlags`` values.  This is how
+        :meth:`~repro.core.synthesis.SessionGenerator.generate_session`
+        serves the kernel's batch to the per-op executors.
         """
         from .synthesis import SessionOp  # cycle: synthesis imports opbatch
 

@@ -233,7 +233,7 @@ class SessionRecord:
 class SessionAccounting:
     """Accumulates one session's measures into a :class:`SessionRecord`.
 
-    Shared by every execution backend (DES, fast replay, real runner) so
+    Shared by the per-op executors (DES, real runner) so
     the session summaries they record are computed identically.
     """
 
@@ -281,8 +281,9 @@ def apply_op_effects(op, accounting: SessionAccounting,
     open/creat/stat reference a file (size 0 recorded), read/write move
     ``moved`` bytes (the executor's observed count, defaulting to the
     synthesized ``op.size``), listdir moves the directory size, and
-    lseek/close/unlink move nothing.  Every execution backend (DES, fast
-    replay, real runner) goes through here, which is what keeps their
+    lseek/close/unlink move nothing.  Every per-op executor (DES, real
+    runner) goes through here, and the engine-free replay applies the
+    same rule as one array expression, which is what keeps their
     recorded streams byte-identical.
     """
     kind = op.kind

@@ -13,24 +13,20 @@ implements exactly that selection as a pure, deterministic function of
    system-call operations for each login session;
 3. **execute** — an :class:`~repro.core.execution.ExecutionBackend`
    replays the stream and attaches timing (discrete-event simulation,
-   analytic fast replay, or a real file system).
+   analytic engine-free replay, or a real file system).
 
 Nothing here imports the simulator: the op stream exists independently of
-how (or whether) it is timed, which is what lets the fast backend skip
-the DES entirely while producing a byte-identical stream.
+how (or whether) it is timed, which is what lets the engine-free backend
+skip the DES entirely while producing a byte-identical stream.
 
 Sampling is *batched*: every per-quantity random stream is wrapped in a
 :class:`~repro.distributions.batch.BatchSampler` that pre-draws blocks of
 variates with one vectorized call instead of paying NumPy's scalar-call
-overhead per operation.
-
-Sessions come out in either of two byte-identical representations:
-:meth:`SessionGenerator.generate_session` yields scalar
-:class:`SessionOp` objects, and
-:meth:`SessionGenerator.generate_session_batch` builds the same stream
-as one columnar :class:`~repro.core.opbatch.OpBatch` — the per-chunk
-loops replaced by ``searchsorted`` cuts over pre-drawn blocks — for the
-array-native fast backend.
+overhead per operation.  There is one synthesis kernel,
+:meth:`SessionGenerator.generate_user_batch`, which builds a user's
+sessions as one columnar :class:`~repro.core.opbatch.OpBatch`;
+:meth:`SessionGenerator.generate_session` is its per-op view for the
+executors that replay one call at a time (the DES, ``RealRunner``).
 
 Extensions beyond the thesis's minimum (its section 6.2 future work):
 
@@ -44,7 +40,6 @@ Extensions beyond the thesis's minimum (its section 6.2 future work):
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -75,7 +70,7 @@ __all__ = [
 ]
 
 # int64 cannot hold every Python int a pathological (but finite) draw
-# could produce; the columnar path saturates instead of wrapping.  Real
+# could produce; the kernel saturates instead of wrapping.  Real
 # specs live many orders of magnitude below this.
 _INT64_SATURATE = float(2**63 - 1024)
 
@@ -167,24 +162,6 @@ class PhaseModel:
         return out
 
 
-class _FilePlan:
-    """A per-file script: open → data ops → close (+unlink for TEMP)."""
-
-    def __init__(self, plan_id: int, ops: list[SessionOp]):
-        self.plan_id = plan_id
-        self._ops = ops
-        self._next = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._ops)
-
-    def pop(self) -> SessionOp:
-        op = self._ops[self._next]
-        self._next += 1
-        return op
-
-
 def _stream_factory(streams: RandomStreams, name: str) -> Callable[[], np.random.Generator]:
     """A zero-arg constructor for ``streams.get(name)``.
 
@@ -226,12 +203,10 @@ class _UsageSamplers:
 class _ChunkBlock(BatchSampler):
     """Chunk-size sampler whose blocks carry a sanitised prefix-sum cache.
 
-    Every refilled block is sanitised once (finite, rounded, >= 1 — the
-    vectorized :meth:`SessionGenerator._sample_chunk` clamp) and
+    Every refilled block is sanitised once (finite, rounded, >= 1) and
     prefix-summed, so cutting a segment of chunks to a byte boundary is
     a single ``searchsorted`` over the cached sums instead of a fresh
-    sanitise + cumsum per segment.  ``draw()`` still serves the *raw*
-    variates, keeping the scalar path untouched.
+    sanitise + cumsum per segment.
     """
 
     __slots__ = ("san", "cum0")
@@ -278,7 +253,7 @@ class _ChunkBlock(BatchSampler):
         buffer (no per-segment allocation or cast — the whole size
         column is cast to int64 once per batch) and returns
         ``(take, advanced)``.  The crossing chunk is cut to land
-        exactly on the boundary, as the scalar per-draw clamp does.
+        exactly on the boundary.
         May advance fewer bytes than ``boundary`` when the block runs
         out — the caller loops, and the next call refills.  The caller
         must have reserved ``row + block`` rows (a run never exceeds
@@ -350,8 +325,8 @@ class _SessionColumns:
         self.flag_val: list[int] = []
         # Write-mix draw ranges: each chunk segment that consumes
         # write-mix uniforms records (first row, count, row stride,
-        # write fraction); the draws happen once per session, in range
-        # order — the same order the scalar loop consumes them.
+        # write fraction); the draws happen once per user, in range
+        # order — the order the chunks occur in the plans.
         self.mix_start: list[int] = []
         self.mix_count: list[int] = []
         self.mix_step: list[int] = []
@@ -400,7 +375,7 @@ class SessionGenerator:
     operation stream is therefore identical no matter which other users
     run alongside it, which worker process it runs in, or which execution
     backend replays it — this is what makes sharded fleet runs aggregate
-    bit-for-bit to the single-process result and what lets the fast
+    bit-for-bit to the single-process result and what lets the engine-free
     backend reproduce the DES op stream exactly.  The temporal load
     layer (:mod:`repro.core.arrivals`) draws from the *same* family
     under its own names (``first-login``, ``session-gap``), so enabling
@@ -435,7 +410,7 @@ class SessionGenerator:
         base = streams.fork(f"user-{user_id}")
         self._rng_select = base.get("select")
         # Plan interleaving draws from its own uniform stream ("slot",
-        # distinct from "select") so the columnar path can pre-draw a
+        # distinct from "select") so the kernel can pre-draw a
         # whole session's slot uniforms in one block: a uniform is
         # bound-independent (slot = floor(u * width)), unlike bounded
         # integer draws whose bit consumption depends on the bound.
@@ -540,13 +515,20 @@ class SessionGenerator:
         self._plan_counter = 0
         return self
 
-    # -- sampling helpers --------------------------------------------------------
-
+    # -- synthesis kernel --------------------------------------------------------
+    #
+    # Every quantity is drawn from its own named stream in whole blocks,
+    # strictly in draw order: chunk sizes, write-mix and seek uniforms,
+    # slot uniforms, think times, phase steps.  The per-chunk loops are
+    # searchsorted cuts against the chunk block's cached prefix sums.
     # Fitted distributions can emit pathological variates (NaN from a
-    # degenerate fit, negative values from a shifted family).  Each helper
-    # clamps to its quantity's valid range instead of letting the value
-    # reach an executor — where it would surface much later as an
-    # ``int(nan)`` ValueError or a negative Delay SimulationError.
+    # degenerate fit, negative values from a shifted family); every
+    # quantity is clamped to its valid range here instead of reaching an
+    # executor, where it would surface much later as an ``int(nan)``
+    # ValueError or a negative Delay SimulationError.
+    # tests/core/scalar_reference.py keeps the one-draw-per-op
+    # formulation as the oracle the kernel is compared against, and
+    # tests/golden/digests.json pins the streams absolutely.
 
     def _sample_count(self, samplers: _UsageSamplers) -> int:
         raw = samplers.file_count.draw()
@@ -554,277 +536,17 @@ class SessionGenerator:
             return 1
         return max(1, int(round(raw)))
 
-    def _sample_ratio(self, samplers: _UsageSamplers) -> float:
-        """A non-negative, finite accesses-per-byte draw."""
-        ratio = samplers.access_per_byte.draw()
-        if not math.isfinite(ratio) or ratio < 0.0:
-            return 0.0
-        return ratio
-
-    def _sample_access_budget(self, samplers: _UsageSamplers,
-                              file_size: int) -> int:
-        return int(round(self._sample_ratio(samplers) * file_size))
-
-    def _sample_file_size(self, samplers: _UsageSamplers) -> int:
-        raw = samplers.file_size.draw()
-        if not math.isfinite(raw):
-            return 1
-        return max(1, int(round(raw)))
-
-    def _sample_chunk(self, remaining: int) -> int:
-        raw = self._chunk.draw()
-        if not math.isfinite(raw):
-            return 1
-        return max(1, min(int(round(raw)), remaining))
-
-    def _sample_think_us(self) -> int:
-        raw = self._think.draw()
-        if self.phase_model is not None:
-            raw *= self.phase_model.step(self._phase.draw())
-        if not math.isfinite(raw) or raw < 0.0:
-            return 0
-        return int(round(raw))
-
-    def _seek_offset(self, file_size: int) -> int:
-        """A uniform random offset in ``[0, file_size)`` (random mode)."""
-        return min(int(self._seek.draw() * file_size), file_size - 1)
-
-    # -- per-category plan construction ------------------------------------------
-
-    def _data_ops(self, plan_id: int, budget: int, file_size: int,
-                  write_fraction: float,
-                  category_key: str | None = None) -> list[SessionOp]:
-        """Chunked read/write ops consuming ``budget`` bytes of a file.
-
-        Sequential mode walks the file, wrapping to offset 0 at EOF (the
-        thesis models sequential access only); random mode seeks to a
-        uniform offset before every chunk.
-        """
-        ops: list[SessionOp] = []
-        if budget <= 0 or file_size <= 0:
-            return ops
-        position = 0
-        remaining = budget
-        while remaining > 0:
-            if self.access_pattern == "random":
-                position = self._seek_offset(file_size)
-                ops.append(SessionOp("lseek", plan_id=plan_id, size=position,
-                                     category_key=category_key))
-            elif position >= file_size:
-                position = 0
-                ops.append(SessionOp("lseek", plan_id=plan_id, size=0,
-                                     category_key=category_key))
-            chunk = self._sample_chunk(min(remaining, file_size - position
-                                           if self.access_pattern == "sequential"
-                                           else remaining))
-            chunk = min(chunk, file_size - position)
-            if chunk <= 0:
-                position = 0
-                continue
-            is_write = self._write_mix.draw() < write_fraction
-            ops.append(
-                SessionOp(
-                    "write" if is_write else "read",
-                    plan_id=plan_id,
-                    size=chunk,
-                    category_key=category_key,
-                )
-            )
-            position += chunk
-            remaining -= chunk
-        return ops
-
-    def _write_out_ops(self, plan_id: int, target_size: int,
-                       category_key: str | None = None) -> list[SessionOp]:
-        """Sequential writes creating ``target_size`` bytes of fresh file."""
-        ops: list[SessionOp] = []
-        written = 0
-        while written < target_size:
-            chunk = self._sample_chunk(target_size - written)
-            ops.append(SessionOp("write", plan_id=plan_id, size=chunk,
-                                 category_key=category_key))
-            written += chunk
-        return ops
-
-    def _plan_for_existing(self, samplers: _UsageSamplers, path: str,
-                           file_size: int) -> _FilePlan:
-        """RDONLY / RD-WRT plan over a file the FSC created."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        budget = self._sample_access_budget(samplers, file_size)
-        write_fraction = 0.5 if category.use is UseType.RD_WRT else 0.0
-        mode = OpenFlags.RDWR if category.writes else OpenFlags.RDONLY
-        ops = [
-            SessionOp("open", plan_id=plan_id, path=path,
-                      category_key=category.key, size=file_size, flags=mode)
-        ]
-        ops.extend(self._data_ops(plan_id, budget, file_size, write_fraction,
-                                  category_key=category.key))
-        ops.append(SessionOp("close", plan_id=plan_id, path=path,
-                             category_key=category.key))
-        return _FilePlan(plan_id, ops)
-
-    def _plan_for_new(self, samplers: _UsageSamplers, path: str,
-                      temporary: bool) -> _FilePlan:
-        """NEW / TEMP plan: create, write out, (re-read and unlink)."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        target_size = self._sample_file_size(samplers)
-        flags = OpenFlags.RDWR | OpenFlags.CREAT | OpenFlags.TRUNC
-        ops = [
-            SessionOp("creat", plan_id=plan_id, path=path,
-                      category_key=category.key, size=target_size,
-                      flags=flags)
-        ]
-        ops.extend(self._write_out_ops(plan_id, target_size,
-                                       category_key=category.key))
-        # Spend the rest of the category's access budget re-reading the
-        # fresh file: Table 5.2 gives NEW files 2.36 accesses per byte and
-        # TEMP files 2.00, i.e. well beyond the single write-out pass.
-        budget = self._sample_access_budget(samplers, target_size)
-        read_budget = max(0, budget - target_size)
-        if read_budget > 0:
-            ops.append(SessionOp("lseek", plan_id=plan_id, size=0,
-                                 category_key=category.key))
-            ops.extend(
-                self._data_ops(plan_id, read_budget, target_size, 0.0,
-                               category_key=category.key)
-            )
-        ops.append(SessionOp("close", plan_id=plan_id, path=path,
-                             category_key=category.key))
-        if temporary:
-            ops.append(SessionOp("unlink", path=path,
-                                 category_key=category.key))
-        return _FilePlan(plan_id, ops)
-
-    def _plan_for_directory(self, samplers: _UsageSamplers, path: str,
-                            dir_size: int) -> _FilePlan:
-        """DIR plan: stat once, then one readdir per whole-directory pass."""
-        category = samplers.usage.category
-        plan_id = self._next_plan_id()
-        passes = max(1, int(round(self._sample_ratio(samplers))))
-        ops = [SessionOp("stat", path=path, category_key=category.key,
-                         plan_id=plan_id, size=dir_size)]
-        for _ in range(passes):
-            ops.append(SessionOp("listdir", path=path,
-                                 category_key=category.key, size=dir_size))
-        return _FilePlan(plan_id, ops)
-
-    def _next_plan_id(self) -> int:
-        self._plan_counter += 1
-        return self._plan_counter
-
-    # -- session assembly ------------------------------------------------------------
-
-    def _session_plan_specs(self, session_id: int):
-        """Yield one ``(shape, samplers, path, extra)`` spec per file plan.
-
-        This is the session's *selection* walk — which categories fire,
-        how many files, which pool members — shared verbatim by the
-        scalar (:meth:`_build_plans`) and columnar
-        (:meth:`generate_session_batch`) paths so both consume the
-        ``select`` stream identically.  ``extra`` is the ``temporary``
-        flag for ``"new"`` plans and the file/directory size otherwise.
-        Specs are yielded lazily: new-file paths embed the live plan
-        counter, which the consumer advances between specs exactly as
-        the pre-refactor loop did.
-        """
-        for samplers in self._usage_samplers:
-            usage = samplers.usage
-            if self._rng_select.random() >= usage.fraction_of_users:
-                continue
-            category = usage.category
-            count = self._sample_count(samplers)
-            if category.creates_files:
-                temporary = category.use is UseType.TEMP
-                home = self.layout.user_home(self.user_id)
-                prefix = "tmp" if temporary else "new"
-                for k in range(count):
-                    path = (
-                        f"{home}/{prefix}-s{session_id:04d}-"
-                        f"p{self._plan_counter:05d}-{k}"
-                    )
-                    yield "new", samplers, path, temporary
-                continue
-            pool = self.layout.files_for(category, self.user_id)
-            if not pool:
-                continue
-            chosen_idx = self._rng_select.choice(
-                len(pool), size=min(count, len(pool)), replace=False
-            )
-            for idx in chosen_idx.reshape(-1):
-                record = pool[int(idx)]
-                shape = "dir" if category.is_directory else "existing"
-                yield shape, samplers, record.path, record.size
-
-    def _build_plans(self, session_id: int) -> list[_FilePlan]:
-        plans: list[_FilePlan] = []
-        for shape, samplers, path, extra in self._session_plan_specs(
-            session_id
-        ):
-            if shape == "new":
-                plans.append(self._plan_for_new(samplers, path, extra))
-            elif shape == "dir":
-                plans.append(self._plan_for_directory(samplers, path, extra))
-            else:
-                plans.append(self._plan_for_existing(samplers, path, extra))
-        return plans
-
-    def generate_session(self, session_id: int) -> Iterator[SessionOp]:
-        """Yield the operation stream of one login session.
-
-        File plans are interleaved by independent random selection among
-        the currently open files (the thesis's independence assumption),
-        with at most ``user_type.max_open_files`` concurrently open.
-        A think-time operation follows every file operation.
-        """
-        # deque: popping the head of a list is O(n) per pop, O(n²) per
-        # session; popleft keeps the identical FIFO order in O(1).
-        pending = deque(self._build_plans(session_id))
-        active: list[_FilePlan] = []
-        max_open = self.user_type.max_open_files
-        while pending or active:
-            while pending and len(active) < max_open:
-                active.append(pending.popleft())
-            if not active:
-                break
-            # One uniform per op; floor(u * width) can land on width
-            # itself only through float rounding of u ≈ 1, hence the
-            # clamp (same rule as _seek_offset).
-            slot = int(self._slot.draw() * len(active))
-            if slot == len(active):
-                slot -= 1
-            plan = active[slot]
-            op = plan.pop()
-            yield op
-            if plan.exhausted:
-                active.pop(slot)
-            think = self._sample_think_us()
-            yield SessionOp("think", size=think)
-
-    # -- columnar synthesis ------------------------------------------------------
-    #
-    # The batch path draws the *same* variate sequence from the same
-    # per-quantity streams as the scalar path — chunk sizes, write-mix
-    # and seek uniforms, slot uniforms, think times, phase steps — but
-    # in whole blocks, with the per-chunk while loops replaced by
-    # searchsorted cuts against the chunk block's cached prefix sums.
-    # Because every quantity owns a named stream and both paths consume
-    # each stream strictly in draw order, the emitted streams are
-    # byte-identical; tests/core/test_columnar_golden.py holds scalar vs
-    # columnar equality across every scenario.
-
     def _append_data_cols(self, budget: int, file_size: int,
                           write_fraction: float, cols: _SessionColumns,
                           row0: int) -> int:
-        """Vectorized :meth:`_data_ops`, appended straight into ``cols``.
+        """Chunked read/write rows consuming ``budget`` bytes of a file.
 
-        Emits the identical row sequence — chunked read/write ops plus
-        the interleaved lseek rows (wrap-to-zero in sequential mode, one
-        per chunk in random mode) — and registers each chunk segment's
-        write-mix range (patched once per session).  ``row0`` is the
-        global row index of the first appended row; returns the number
-        of rows appended.
+        Sequential mode walks the file, wrapping to offset 0 at EOF with
+        an lseek row (the thesis models sequential access only); random
+        mode emits an lseek to a uniform offset before every chunk.
+        Registers each chunk segment's write-mix range (patched once per
+        user).  ``row0`` is the global row index of the first appended
+        row; returns the number of rows appended.
         """
         if budget <= 0 or file_size <= 0:
             return 0
@@ -897,7 +619,8 @@ class SessionGenerator:
 
     def _append_write_out(self, target_size: int, cols: _SessionColumns,
                           row0: int) -> int:
-        """Vectorized :meth:`_write_out_ops`; returns rows appended."""
+        """Sequential write rows creating ``target_size`` bytes of fresh
+        file; returns rows appended."""
         row = row0
         remaining = target_size
         while remaining > 0:
@@ -913,7 +636,7 @@ class SessionGenerator:
                                   budget: int, write_fraction: float,
                                   mode_flag: int, cat_idx: int,
                                   cols: _SessionColumns) -> None:
-        """Columnar :meth:`_plan_for_existing`: open → data ops → close.
+        """RDONLY / RD-WRT plan over an FSC file: open → data ops → close.
 
         The budget, write fraction, open mode and category index arrive
         precomputed from the entry-grouped walk
@@ -943,8 +666,8 @@ class SessionGenerator:
     def _append_plan_for_new(self, path: str, target_size: int, budget: int,
                              temporary: bool, cat_idx: int,
                              cols: _SessionColumns) -> None:
-        """Columnar :meth:`_plan_for_new`: creat, write out, re-read,
-        close (+unlink for TEMP)."""
+        """NEW / TEMP plan: creat, write out, re-read, close (+unlink for
+        TEMP)."""
         self._plan_counter += 1
         plan_id = self._plan_counter
         start = cols.total
@@ -989,7 +712,8 @@ class SessionGenerator:
     def _append_plan_for_directory(self, path: str, dir_size: int,
                                    passes: int, cat_idx: int,
                                    cols: _SessionColumns) -> None:
-        """Columnar :meth:`_plan_for_directory`: stat + per-pass listdir."""
+        """DIR plan: stat once, then one listdir per whole-directory
+        pass."""
         self._plan_counter += 1
         n = 1 + passes
         start = cols.total
@@ -1007,8 +731,8 @@ class SessionGenerator:
         cols.add_plan(n, -1, cat_idx)
 
     def _think_col(self, n: int) -> np.ndarray:
-        """``n`` think times (µs, int64) — the vectorized
-        :meth:`_sample_think_us`, phase modulation included."""
+        """``n`` think times (µs, int64), phase modulation included;
+        non-finite or negative draws become 0."""
         raw = self._think.take(n)
         if self.phase_model is not None:
             raw = raw * self.phase_model.step_many(self._phase.take(n))
@@ -1017,20 +741,18 @@ class SessionGenerator:
         np.rint(raw, where=ok, out=think)
         return np.minimum(think, _INT64_SATURATE).astype(np.int64)
 
-
     def _append_session_plans(self, session_id: int,
                               cols: _SessionColumns) -> None:
-        """The columnar :meth:`_session_plan_specs` walk, entry-grouped.
+        """The session's selection walk: which categories fire, how many
+        files, which pool members — one file plan per selected file.
 
-        Consumes the ``select`` and per-category ``count:`` streams
-        exactly as the scalar walk does — one fraction gate per entry,
-        one count draw per fired entry, one pool ``choice`` per
-        non-creating entry — but takes each fired entry's per-plan
-        budget/size draws as *one block per stream* instead of one
-        scalar draw per plan.  Per-stream draw order is unchanged (each
-        quantity owns a named stream and plans consume it in plan
-        order), so the emitted rows are byte-identical to the scalar
-        walk's; only the Python overhead per plan goes away.
+        Consumes the ``select`` stream with one fraction gate per usage
+        entry and one pool ``choice`` per fired non-creating entry, and
+        the entry's ``count:`` stream once per fired entry.  Each fired
+        entry's per-plan budget/size draws are taken as *one block per
+        stream*; every quantity owns a named stream and plans consume it
+        in plan order, so the rows equal one draw per plan.  New-file
+        paths embed the live plan counter.
         """
         select_random = self._rng_select.random
         choice = self._rng_select.choice
@@ -1105,13 +827,13 @@ class SessionGenerator:
         ``bounds[i]`` is the first row of the ``i``-th session
         (``len(bounds) == len(session_ids) + 1``).
 
-        Byte-identity with the scalar path is preserved because fusion
-        only *regroups* draws across sessions, never across streams:
-        each named stream is still consumed session-by-session in draw
-        order (slot/think/write-mix blocks are the concatenation of the
-        per-session blocks), and rows of session ``i`` occupy exactly
-        ``[bounds[i], bounds[i+1])`` — the interleave permutes within a
-        session only.
+        Fusion only *regroups* draws across sessions, never across
+        streams: each named stream is still consumed session-by-session
+        in draw order (slot/think/write-mix blocks are the concatenation
+        of the per-session blocks), so the batch equals the sessions
+        generated one at a time, and rows of session ``i`` occupy
+        exactly ``[bounds[i], bounds[i+1])`` — the interleave permutes
+        within a session only.
         """
         cols = _SessionColumns(StringTable(), StringTable())
         sids = list(session_ids)
@@ -1136,10 +858,10 @@ class SessionGenerator:
         for j, length in enumerate(lengths):
             offsets[j] = acc
             acc += length
-        # Interleave plans exactly as generate_session does: same FIFO
-        # admission to the open-file window, same per-op slot uniform.
-        # Every op consumes exactly one "slot" draw, so the user's whole
-        # uniform block pre-draws in one take.
+        # Interleave plans by independent random selection among the
+        # open files (see _interleave).  Every op consumes exactly one
+        # "slot" draw, so the user's whole uniform block pre-draws in
+        # one take.
         uniforms = self._slot.take(n).tolist()
         order = [0] * n
         max_open = self.user_type.max_open_files
@@ -1149,8 +871,8 @@ class SessionGenerator:
 
         kinds = cols.kinds_buf[:n]
         if cols.mix_count:
-            # One write-mix block for the whole user: same draws, in the
-            # same per-stream order, as the scalar per-op draws.
+            # One write-mix block for the whole user, consumed in the
+            # order the chunk segments were registered.
             counts = np.asarray(cols.mix_count)
             total_mix = int(counts.sum())
             mix = self._write_mix.take(total_mix)
@@ -1203,23 +925,32 @@ class SessionGenerator:
         return batch, bounds
 
     def generate_session_batch(self, session_id: int) -> OpBatch:
-        """The columnar :meth:`generate_session`: one login session as an
-        :class:`~repro.core.opbatch.OpBatch`.
+        """One login session as an :class:`~repro.core.opbatch.OpBatch`.
 
         Row ``i`` is the ``i``-th file operation; the think pause that
-        follows it lands in the batch's ``think_us`` column (the exact
-        stream :meth:`generate_session` yields, re-interleavable via
-        :meth:`~repro.core.opbatch.OpBatch.iter_session_ops`).  Timing
+        follows it lands in the batch's ``think_us`` column.  Timing
         columns are zero; an execution backend fills them.  (One-session
         form of :meth:`generate_user_batch`.)
         """
         batch, _ = self.generate_user_batch((session_id,))
         return batch
 
+    def generate_session(self, session_id: int) -> Iterator[SessionOp]:
+        """Yield the operation stream of one login session, op by op.
+
+        File plans are interleaved by independent random selection among
+        the currently open files (the thesis's independence assumption),
+        with at most ``user_type.max_open_files`` concurrently open; a
+        think-time operation follows every file operation.  The per-op
+        view of :meth:`generate_session_batch` (via
+        :meth:`~repro.core.opbatch.OpBatch.iter_session_ops`), for
+        executors that replay one call at a time.
+        """
+        yield from self.generate_session_batch(session_id).iter_session_ops()
+
 
 def _sane_ratios(ratios: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`SessionGenerator._sample_ratio` clamp:
-    non-finite or negative accesses-per-byte draws become 0.0."""
+    """Non-finite or negative accesses-per-byte draws become 0.0."""
     bad = ~(np.isfinite(ratios) & (ratios >= 0.0))
     if bad.any():
         ratios = np.where(bad, 0.0, ratios)
@@ -1230,10 +961,10 @@ def _interleave(lengths: list, offsets: list, p0: int, p1: int,
                 uniforms: list, order: list, i: int, max_open: int) -> None:
     """Fill ``order[i:]`` with one session's plan-interleave permutation.
 
-    The same walk as :meth:`SessionGenerator.generate_session`'s loop —
-    FIFO admission of plans ``p0..p1`` into the open-file window, one
-    slot uniform per op, ``floor(u * width)`` with the u ≈ 1 clamp —
-    over pre-drawn uniforms.  Structured so admission is only re-checked
+    FIFO admission of plans ``p0..p1`` into the open-file window (at
+    most ``max_open`` wide), then one slot uniform per op picks the open
+    plan whose next op is emitted: ``floor(u * width)``, clamped for the
+    float rounding of u ≈ 1 — over pre-drawn uniforms.  Structured so admission is only re-checked
     after an exhaustion event (the window can only open then), and the
     common single-plan tail is emitted as one slice assignment: with
     ``width == 1`` every remaining draw selects slot 0, so the rows are
@@ -1261,7 +992,7 @@ def _interleave(lengths: list, offsets: list, p0: int, p1: int,
             return
         while True:
             s = int(uniforms[i] * width)
-            if s == width:  # float rounding of u ≈ 1 (see _seek_offset)
+            if s == width:  # float rounding of u ≈ 1
                 s = width - 1
             row = cursor[s]
             order[i] = row

@@ -13,8 +13,8 @@ yields a different (but internally consistent) generator than
 This module is the machine-checked source of truth.  The static-analysis
 pass ``python -m repro.devtools.detlint`` (rule ``stream-name-registry``)
 collects every string literal passed to ``RandomStreams.get`` / ``fork`` /
-``spawn_seed`` (and to the lazy ``_stream_factory`` helper) across the DES,
-fast and columnar paths, and fails the build when a name is not registered
+``spawn_seed`` (and to the lazy ``_stream_factory`` helper) across the
+source tree, and fails the build when a name is not registered
 here.  Adding a new stream therefore *requires* touching this file, which is
 exactly the review visibility the determinism contract needs.
 

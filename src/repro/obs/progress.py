@@ -23,6 +23,7 @@ stream.
 from __future__ import annotations
 
 import sys
+import math
 import time
 
 __all__ = ["ProgressMeter", "QueueProgressSender", "format_progress_line"]
@@ -85,7 +86,10 @@ class ProgressMeter:
         self.interval_s = interval_s
         self._shards: dict[int, tuple[int, int]] = {}
         self._start = time.monotonic()
-        self._last_paint = 0.0
+        # -inf, not 0.0, means "never painted": monotonic() counts from
+        # boot, so a host up for less than interval_s would otherwise
+        # skip the first paint.
+        self._last_paint = -math.inf
         self._painted = False
 
     # -- feeding --------------------------------------------------------------
@@ -146,7 +150,7 @@ class QueueProgressSender:
         self.shard = shard
         self.queue = queue
         self.min_interval_s = min_interval_s
-        self._last_send = 0.0
+        self._last_send = -math.inf  # never sent (see ProgressMeter)
 
     def update(self, users: int, ops: int) -> None:
         now = time.monotonic()

@@ -172,9 +172,10 @@ def regenerate(
     ``shards > 1`` routes through :func:`repro.fleet.run_fleet` (the
     merged content is shard-count-invariant, so the fidelity numbers do
     not depend on this choice — only wall-clock does).  ``backend``
-    accepts any execution backend, including ``fast``: the regenerated
-    op stream is backend-invariant, so a ``fast`` validation differs
-    only in the service-time component of recorded timings.
+    accepts any execution backend, including ``fast-columnar``: the
+    regenerated op stream is backend-invariant, so an engine-free
+    validation differs only in the service-time component of recorded
+    timings.
     """
     if shards > 1:
         from ..fleet import FleetConfig, run_fleet

@@ -2,10 +2,11 @@
 
 The arrivals layer's contract extends the staged pipeline's: schedules
 move the *timeline* only.  With arrivals on, every backend must still
-emit the byte-identical op stream it emits with arrivals off, the two
-engine-free backends must agree bit-for-bit on records — start clocks
-included — and the merged fleet tally (windowed offered-load buckets
-included) must stay shard-count-invariant.  The DES shares the exact
+emit the byte-identical op stream it emits with arrivals off, the
+engine-free backend must agree bit-for-bit with the per-op reference
+replay on records — start clocks included — and the merged fleet tally
+(windowed offered-load buckets included) must stay
+shard-count-invariant.  The DES shares the exact
 first-login offsets (they come from the same pre-resolved schedules)
 but times subsequent ops on its own queueing clock, so it is held to
 content identity plus offset identity.
@@ -21,6 +22,8 @@ from repro.core import (
 )
 from repro.fleet import FleetConfig, run_fleet
 from repro.scenarios import get_scenario
+
+from .scalar_reference import reference_fleet_tally, run_reference
 
 SCENARIOS = ("mixed-campus", "batch-heavy")
 SEED = 17
@@ -38,6 +41,13 @@ def run_scenario(name, backend, arrivals, **kwargs):
         arrivals=arrivals,
         **kwargs,
     )
+
+
+def run_scenario_reference(name, arrivals, **kwargs):
+    scenario = get_scenario(name)
+    return run_reference(scenario.build(USERS, SEED), SESSIONS,
+                         access_pattern=scenario.access_pattern,
+                         arrivals=arrivals, **kwargs)
 
 
 def content_by_user(log):
@@ -58,14 +68,15 @@ class TestArrivalsGoldenIdentity:
     def test_all_backends_same_stream_fast_pair_bit_identical(self, name):
         model = self.model(name)
         des = run_scenario(name, "nfs", model)
-        fast = run_scenario(name, "fast", model)
+        fast = run_scenario_reference(name, model)
         columnar = run_scenario(name, "fast-columnar", model)
         # content identity across all three
         reference = content_by_user(fast.log)
         assert content_by_user(des.log) == reference
         assert content_by_user(columnar.log) == reference
         # bit identity (start clocks and response times included) for
-        # the engine-free pair, sessions and duration too
+        # the reference replay and fast-columnar, sessions and duration
+        # too
         assert fast.log.operations == columnar.log.operations
         assert fast.log.sessions == columnar.log.sessions
         assert fast.simulated_duration_us == columnar.simulated_duration_us
@@ -73,7 +84,7 @@ class TestArrivalsGoldenIdentity:
     def test_des_shares_the_first_login_offsets(self, name):
         model = self.model(name)
         des = run_scenario(name, "nfs", model)
-        fast = run_scenario(name, "fast", model)
+        fast = run_scenario(name, "fast-columnar", model)
 
         def first_starts(log):
             firsts = {}
@@ -95,9 +106,9 @@ class TestArrivalsGoldenIdentity:
 
     def test_truncation_stays_bit_identical(self, name):
         model = self.model(name)
-        full = run_scenario(name, "fast", model)
+        full = run_scenario(name, "fast-columnar", model)
         limit = full.simulated_duration_us / 2
-        fast = run_scenario(name, "fast", model, time_limit_us=limit)
+        fast = run_scenario_reference(name, model, time_limit_us=limit)
         columnar = run_scenario(name, "fast-columnar", model,
                                 time_limit_us=limit)
         assert fast.log.operations == columnar.log.operations
@@ -138,9 +149,8 @@ class TestArrivalsFleetInvariance:
             assert many.tally == one.tally
 
     def test_scalar_and_columnar_windowed_tallies_match(self):
-        scalar = self.fleet(2, backend="fast")
-        columnar = self.fleet(2, backend="fast-columnar")
-        assert scalar.tally == columnar.tally
+        columnar = self.fleet(2)
+        assert reference_fleet_tally(columnar.config) == columnar.tally
 
     def test_profile_override_changes_the_curve(self):
         office = self.fleet(1)
@@ -167,6 +177,7 @@ class TestArrivalsFleetInvariance:
         spec = paper_workload_spec(n_users=4, total_files=100, seed=3)
         model = ArrivalModel(profile=get_profile("evening"))
         result = run_fleet(FleetConfig(spec=spec, shards=2, workers=1,
-                                       arrival_model=model, backend="fast"))
+                                       arrival_model=model,
+                                       backend="fast-columnar"))
         assert result.tally.ops_by_window
         assert result.tally.sessions == 4

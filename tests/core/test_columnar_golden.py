@@ -1,13 +1,12 @@
-"""Golden scalar-vs-columnar equivalence, across the whole scenario space.
+"""Golden kernel-vs-reference equivalence, across the whole scenario space.
 
-The columnar pipeline's contract is *representation change only*: for any
+The columnar kernel's contract is *representation change only*: for any
 workload, `generate_session_batch` must emit the byte-identical op stream
-that `generate_session` yields, and the `fast-columnar` backend must
-record the bit-identical operation records, session summaries and fleet
-tallies that the scalar `fast` backend records — including under
-`time_limit_us` truncation, for both access patterns, and with the phase
-model on or off.  These tests are the determinism floor the benchmark's
-identity check re-asserts before timing anything.
+that the one-draw-per-op reference planner (`scalar_reference`) yields,
+and the `fast-columnar` backend must record the bit-identical operation
+records, session summaries and fleet tallies that the per-op reference
+replay records — including under `time_limit_us` truncation, for both
+access patterns, and with the phase model on or off.
 """
 
 import pytest
@@ -23,12 +22,18 @@ from repro.fleet.merge import ShardAccumulator
 from repro.scenarios import get_scenario, scenario_names
 from repro.vfs import MemoryFileSystem
 
+from .scalar_reference import (
+    generate_session,
+    reference_fleet_tally,
+    run_reference,
+)
+
 SPEC = paper_workload_spec(n_users=3, total_files=150, seed=11)
 
 
 def synthesizers(spec, access_pattern="sequential", phases=False):
-    """Two stream-aligned generator sets for one spec (scalar/columnar
-    paths consume the same per-user streams, so each side needs its own
+    """Two stream-aligned generator sets for one spec (reference and
+    kernel consume the same per-user streams, so each side needs its own
     fresh ``WorkloadGenerator``)."""
     out = []
     for _ in range(2):
@@ -51,7 +56,7 @@ def assert_streams_identical(spec, access_pattern, phases, sessions=2):
     compared = 0
     for scalar_gen, columnar_gen in zip(scalar_users, columnar_users):
         for session_id in range(sessions):
-            scalar = list(scalar_gen.generate_session(session_id))
+            scalar = list(generate_session(scalar_gen, session_id))
             batch = columnar_gen.generate_session_batch(session_id)
             columnar = list(batch.iter_session_ops())
             assert scalar == columnar
@@ -60,7 +65,7 @@ def assert_streams_identical(spec, access_pattern, phases, sessions=2):
 
 
 class TestSessionStreamsAcrossScenarios:
-    """Every registered scenario: scalar and columnar synthesis agree."""
+    """Every registered scenario: reference and kernel synthesis agree."""
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_streams_identical(self, name):
@@ -82,7 +87,8 @@ class TestSessionStreamsMatrix:
 
 
 class TestBackendRecordsMatrix:
-    """fast vs fast-columnar: bit-identical records, timing included."""
+    """Reference replay vs fast-columnar: bit-identical records, timing
+    included."""
 
     def run(self, backend, **kwargs):
         return WorkloadGenerator(SPEC).run_simulated(
@@ -96,7 +102,7 @@ class TestBackendRecordsMatrix:
         {"access_pattern": "random", "phase_model_factory": PhaseModel},
     ])
     def test_records_identical(self, kwargs):
-        scalar = self.run("fast", **kwargs)
+        scalar = run_reference(SPEC, 2, **kwargs)
         columnar = self.run("fast-columnar", **kwargs)
         assert scalar.log.operations == columnar.log.operations
         assert scalar.log.sessions == columnar.log.sessions
@@ -104,9 +110,9 @@ class TestBackendRecordsMatrix:
                 == columnar.simulated_duration_us)
 
     def test_truncation_identical(self):
-        full = self.run("fast")
+        full = self.run("fast-columnar")
         limit = full.simulated_duration_us / 4
-        scalar = self.run("fast", time_limit_us=limit)
+        scalar = run_reference(SPEC, 2, time_limit_us=limit)
         columnar = self.run("fast-columnar", time_limit_us=limit)
         assert scalar.log.operations == columnar.log.operations
         assert scalar.log.sessions == columnar.log.sessions
@@ -130,30 +136,26 @@ class TestBackendRecordsMatrix:
 
 
 class TestFleetTallies:
-    """The fleet aggregate is bit-for-bit backend- and shard-invariant."""
+    """The fleet aggregate equals the reference's, for any shard count."""
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_columnar_tally_equals_scalar(self, shards):
-        scalar = run_fleet(FleetConfig(
-            scenario="mixed-campus", users=12, shards=shards, workers=1,
-            seed=5, backend="fast",
-        ))
-        columnar = run_fleet(FleetConfig(
+        config = FleetConfig(
             scenario="mixed-campus", users=12, shards=shards, workers=1,
             seed=5, backend="fast-columnar",
-        ))
-        assert scalar.tally == columnar.tally
-        assert scalar.aggregate_kv() == columnar.aggregate_kv()
+        )
+        scalar = reference_fleet_tally(config)
+        columnar = run_fleet(config)
+        assert scalar == columnar.tally
+        assert scalar.as_kv() == columnar.aggregate_kv()
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_tallies_match(self, name):
-        runs = [
-            run_fleet(FleetConfig(scenario=name, users=4, shards=1,
-                                  workers=1, seed=3, backend=backend))
-            for backend in ("fast", "fast-columnar")
-        ]
-        assert runs[0].tally == runs[1].tally
-        assert runs[0].tally.operations > 0
+        config = FleetConfig(scenario=name, users=4, shards=1, workers=1,
+                             seed=3, backend="fast-columnar")
+        scalar = reference_fleet_tally(config)
+        assert scalar == run_fleet(config).tally
+        assert scalar.operations > 0
 
 
 class TestStreamArtifactsAcrossScenarios:

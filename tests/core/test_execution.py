@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import (
     AnalyticServiceModel,
-    FastReplayBackend,
+    ColumnarReplayBackend,
     FileSystemCreator,
     PhaseModel,
     RUN_BACKENDS,
@@ -22,6 +22,8 @@ from repro.core import (
 )
 from repro.distributions import Distribution, RandomStreams
 from repro.vfs import MemoryFileSystem
+
+from .scalar_reference import run_reference
 
 SPEC = paper_workload_spec(n_users=3, total_files=200, seed=21)
 
@@ -52,7 +54,7 @@ def run(backend, **kwargs):
 class TestCrossBackendDeterminism:
     def test_fast_matches_des_stream_exactly(self):
         sim = run("nfs")
-        fast = run("fast")
+        fast = run("fast-columnar")
         # Same multiset overall, and the same in-order stream per user
         # (the DES interleaves users on the engine clock; the fast path
         # runs them one after another).
@@ -69,16 +71,17 @@ class TestCrossBackendDeterminism:
     def test_fast_matches_des_with_random_access_and_phases(self):
         sim = run("nfs", access_pattern="random",
                   phase_model_factory=PhaseModel)
-        fast = run("fast", access_pattern="random",
+        fast = run("fast-columnar", access_pattern="random",
                    phase_model_factory=PhaseModel)
         assert sorted(content_ops(sim.log)) == sorted(content_ops(fast.log))
 
     def test_fast_is_deterministic(self):
-        assert content_ops(run("fast").log) == content_ops(run("fast").log)
+        assert (content_ops(run("fast-columnar").log)
+                == content_ops(run("fast-columnar").log))
 
     def test_only_timing_differs(self):
         sim = run("nfs")
-        fast = run("fast")
+        fast = run("fast-columnar")
         sim_times = {
             (o.user_id, o.session_id, o.op, o.path): o.response_us
             for o in sim.log.operations
@@ -92,8 +95,8 @@ class TestCrossBackendDeterminism:
         assert diffs > 0  # timings come from different models
 
     def test_fast_run_result_shape(self):
-        result = run("fast")
-        assert result.backend == "fast"
+        result = run("fast-columnar")
+        assert result.backend == "fast-columnar"
         assert result.handle is None
         assert result.simulated_duration_us > 0
         # The analyzer consumes a fast run's log like any other.
@@ -102,7 +105,27 @@ class TestCrossBackendDeterminism:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             run("warp")
-        assert "fast" in RUN_BACKENDS
+        assert RUN_BACKENDS == ("nfs", "local", "afs", "fast-columnar")
+
+    def test_removed_fast_backend_rejected_everywhere(self, capsys):
+        """``fast`` was removed, not aliased: the API, the fleet config
+        and the CLI each reject it and name the valid choices."""
+        from repro.cli import main
+        from repro.core import SpecError
+        from repro.fleet import FleetConfig
+
+        with pytest.raises(ValueError) as api:
+            run("fast")
+        with pytest.raises(SpecError) as fleet:
+            FleetConfig(spec=SPEC, backend="fast")
+        with pytest.raises(SystemExit) as cli:
+            main(["simulate", "--backend", "fast"])
+        assert cli.value.code == 2
+        cli_error = capsys.readouterr().err
+        assert "invalid choice: 'fast'" in cli_error
+        for message in (str(api.value), str(fleet.value), cli_error):
+            for name in RUN_BACKENDS:
+                assert name in message
 
 
 class TestStagedPipeline:
@@ -127,8 +150,10 @@ class TestStagedPipeline:
     def test_fleet_shard_invariance_on_fast_backend(self):
         from repro.fleet import FleetConfig, run_fleet
 
-        single = run_fleet(FleetConfig(spec=SPEC, shards=1, backend="fast"))
-        sharded = run_fleet(FleetConfig(spec=SPEC, shards=3, backend="fast"))
+        single = run_fleet(FleetConfig(spec=SPEC, shards=1,
+                                       backend="fast-columnar"))
+        sharded = run_fleet(FleetConfig(spec=SPEC, shards=3,
+                                        backend="fast-columnar"))
         assert single.aggregate_kv() == sharded.aggregate_kv()
 
 
@@ -155,9 +180,9 @@ class TestAnalyticServiceModel:
         assert two_pages - one_page >= model.per_rpc_us
 
     def test_time_limit_truncates_fast_runs(self):
-        full = run("fast")
+        full = run("fast-columnar")
         limit = full.simulated_duration_us / 4
-        cut = run("fast", time_limit_us=limit)
+        cut = run("fast-columnar", time_limit_us=limit)
         assert cut.simulated_duration_us <= limit
         assert len(cut.log.operations) < len(full.log.operations)
         assert all(o.start_us < limit for o in cut.log.operations)
@@ -179,15 +204,16 @@ class TestAnalyticServiceModel:
     @pytest.mark.parametrize("which", ["op-start", "session-end"])
     def test_exact_boundary_limit_is_exclusive_across_backends(self, which):
         # The pinned rule: an op starting exactly at the limit is
-        # excluded — `start >= limit` drops the op — and fast vs
-        # fast-columnar stay bit-identical at that exact boundary.
-        full = run("fast")
+        # excluded — `start >= limit` drops the op — and the per-op
+        # reference replay and fast-columnar stay bit-identical at that
+        # exact boundary.
+        full = run("fast-columnar")
         if which == "op-start":
             limit = full.log.operations[len(full.log.operations) // 2].start_us
         else:
             limit = full.log.sessions[0].end_us
         assert limit > 0.0
-        scalar = run("fast", time_limit_us=limit)
+        scalar = run_reference(SPEC, 2, time_limit_us=limit)
         columnar = run("fast-columnar", time_limit_us=limit)
         assert scalar.log.operations == columnar.log.operations
         assert scalar.log.sessions == columnar.log.sessions
@@ -270,7 +296,7 @@ class TestPathologicalDrawClamping:
         assert all(op.size == 0 for op in ops if op.kind == "think")
 
     def test_clamped_stream_survives_execution(self, layout):
-        """A pathological user type must run end to end on the fast path."""
+        """A pathological user type must run end to end engine-free."""
         user_type = dataclasses.replace(
             paper_user_type("t"),
             think_time=_ScriptedDistribution([float("nan"), -1.0]),
@@ -280,7 +306,7 @@ class TestPathologicalDrawClamping:
             user_type, layout, RandomStreams(9), user_id=0
         )
         log = UsageLog()
-        duration = FastReplayBackend().execute(
+        duration = ColumnarReplayBackend().execute(
             [UserSessions(generator, 2)], log
         )
         assert math.isfinite(duration) and duration > 0

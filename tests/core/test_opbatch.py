@@ -261,7 +261,8 @@ class TestRecordBatchDefault:
         sink = MinimalSink()
         WorkloadGenerator(spec).run_simulated(
             backend="fast-columnar", log=sink)
-        reference = WorkloadGenerator(spec).run_simulated(backend="fast")
+        reference = WorkloadGenerator(spec).run_simulated(
+            backend="fast-columnar")
         assert sink.ops == reference.log.operations
 
     def test_think_codes_never_reach_sinks(self):

@@ -9,9 +9,9 @@ freshly constructed generator serves, no matter which users (or how
 many sessions of them) it drained before.  The hypothesis tests here
 pin that property over random populations, session counts and access
 patterns; the golden matrix re-pins the fused plan builder's byte
-identity (scalar ``fast`` vs ``fast-columnar``) across every registered
-scenario with arrivals on and off and under ``time_limit_us``
-truncation.
+identity (the per-op reference replay vs ``fast-columnar``) across
+every registered scenario with arrivals on and off and under
+``time_limit_us`` truncation.
 """
 
 import pytest
@@ -22,6 +22,8 @@ from repro.core import PhaseModel, WorkloadGenerator, paper_workload_spec
 from repro.core.arrivals import DEFAULT_ARRIVALS
 from repro.scenarios import get_scenario, scenario_names
 from repro.vfs import MemoryFileSystem
+
+from .scalar_reference import generate_session, run_reference
 
 
 def _staged(spec, access_pattern="sequential"):
@@ -37,7 +39,8 @@ def _staged(spec, access_pattern="sequential"):
 
 def _drain_users(generator, layout, assignment, selected, access_pattern,
                  sessions, reuse_kernels, phases=False, columnar=False):
-    """Op streams per user, drained through pooled or fresh kernels."""
+    """Op streams per user, drained through pooled or fresh kernels —
+    by the fused kernel, or by the reference planner's per-op draws."""
     streams = {}
     for kernel in generator.iter_synthesized_users(
         layout, selected, assignment,
@@ -50,7 +53,7 @@ def _drain_users(generator, layout, assignment, selected, access_pattern,
             ops = list(batch.iter_session_ops())
         else:
             ops = [op for s in range(sessions)
-                   for op in kernel.generate_session(s)]
+                   for op in generate_session(kernel, s)]
         streams[kernel.user_id] = ops
     return streams
 
@@ -142,8 +145,8 @@ class TestPooledStateIsolation:
 
 
 class TestFusedBuilderGoldenMatrix:
-    """fast ≡ fast-columnar records for every scenario × arrivals ×
-    truncation — the fused plan builder's byte-identity pin."""
+    """Reference replay ≡ fast-columnar records for every scenario ×
+    arrivals × truncation — the fused plan builder's byte-identity pin."""
 
     @pytest.mark.parametrize("arrivals", [False, True])
     @pytest.mark.parametrize("name", scenario_names())
@@ -152,37 +155,38 @@ class TestFusedBuilderGoldenMatrix:
         spec = scenario.build(4, 17)
         model = ((scenario.arrival_model or DEFAULT_ARRIVALS)
                  if arrivals else None)
-        results = {}
-        for backend in ("fast", "fast-columnar"):
-            results[backend] = WorkloadGenerator(spec).run_simulated(
-                sessions_per_user=2,
-                backend=backend,
-                access_pattern=scenario.access_pattern,
-                phase_model_factory=(PhaseModel if scenario.use_phase_model
-                                     else None),
-                arrivals=model,
-            )
-        assert (results["fast"].log.operations
-                == results["fast-columnar"].log.operations)
-        assert (results["fast"].log.sessions
-                == results["fast-columnar"].log.sessions)
+        phases = PhaseModel if scenario.use_phase_model else None
+        scalar = run_reference(
+            spec, 2, access_pattern=scenario.access_pattern,
+            phase_model_factory=phases, arrivals=model,
+        )
+        columnar = WorkloadGenerator(spec).run_simulated(
+            sessions_per_user=2,
+            backend="fast-columnar",
+            access_pattern=scenario.access_pattern,
+            phase_model_factory=phases,
+            arrivals=model,
+        )
+        assert scalar.log.operations == columnar.log.operations
+        assert scalar.log.sessions == columnar.log.sessions
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_truncation_identical(self, name):
         scenario = get_scenario(name)
         spec = scenario.build(4, 17)
 
-        def run(backend, limit=None):
+        def run(limit=None):
             return WorkloadGenerator(spec).run_simulated(
                 sessions_per_user=2,
-                backend=backend,
+                backend="fast-columnar",
                 access_pattern=scenario.access_pattern,
                 time_limit_us=limit,
             )
 
-        limit = run("fast").simulated_duration_us / 3
-        scalar = run("fast", limit)
-        columnar = run("fast-columnar", limit)
+        limit = run().simulated_duration_us / 3
+        scalar = run_reference(spec, 2, access_pattern=scenario.access_pattern,
+                               time_limit_us=limit)
+        columnar = run(limit)
         assert scalar.log.operations == columnar.log.operations
         assert scalar.log.sessions == columnar.log.sessions
         assert (scalar.simulated_duration_us

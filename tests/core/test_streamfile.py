@@ -495,10 +495,10 @@ class TestEmptyBatches:
         with StreamReader(path) as reader:
             assert reader.total_rows == 0
 
-    @pytest.mark.parametrize("backend", ["fast", "fast-columnar", "nfs"])
+    @pytest.mark.parametrize("backend", ["fast-columnar", "nfs"])
     def test_time_limit_zero_yields_empty_artifact(self, tmp_path, backend):
         # time_limit_us=0 truncates every session before its first op;
-        # all three backends must produce a clean, empty artifact.
+        # both backends must produce a clean, empty artifact.
         spec = paper_workload_spec(n_users=2, total_files=100, seed=5)
         path = tmp_path / "zero.opstream"
         direct = UsageLog()

@@ -17,7 +17,7 @@ from repro.fleet import FleetConfig, run_fleet
 from repro.obs import RunObserver
 
 SPEC = paper_workload_spec(n_users=3, total_files=150, seed=11)
-BACKENDS = ("nfs", "fast", "fast-columnar")
+BACKENDS = ("nfs", "fast-columnar")
 
 
 class TestRunByteIdentity:

@@ -185,7 +185,7 @@ class TestObservingSink:
 
 
 class TestEndToEndCounters:
-    @pytest.mark.parametrize("backend", ["fast", "fast-columnar"])
+    @pytest.mark.parametrize("backend", ["nfs", "fast-columnar"])
     def test_counters_match_log(self, backend):
         obs = RunObserver()
         result = WorkloadGenerator(SPEC).run_simulated(
@@ -206,7 +206,8 @@ class TestEndToEndCounters:
 
     def test_scalar_and_columnar_byte_counters_agree(self):
         snaps = []
-        for backend in ("fast", "fast-columnar"):
+        # The DES records op by op, fast-columnar in batches.
+        for backend in ("nfs", "fast-columnar"):
             obs = RunObserver()
             WorkloadGenerator(SPEC).run_simulated(
                 sessions_per_user=2, backend=backend, observer=obs)

@@ -1,6 +1,7 @@
 """Unit tests for progress formatting, the meter, and the queue sender."""
 
 import io
+from types import SimpleNamespace
 
 from repro.obs import ProgressMeter, QueueProgressSender
 from repro.obs.progress import _eta, _si, format_progress_line
@@ -78,6 +79,16 @@ class TestProgressMeter:
         meter.update(2, 20)
         assert stream.getvalue().count("\r") == 1
 
+    def test_first_update_paints_on_fresh_host(self, monkeypatch):
+        # monotonic() counts from boot: on a host up for less than the
+        # throttle interval the first paint must still happen.
+        monkeypatch.setattr("repro.obs.progress.time",
+                            SimpleNamespace(monotonic=lambda: 0.001))
+        stream = io.StringIO()
+        meter = ProgressMeter(total_users=4, stream=stream, interval_s=0.5)
+        meter.update(1, 10)
+        assert stream.getvalue().count("\r") == 1
+
     def test_closed_stream_goes_quiet(self):
         stream = io.StringIO()
         meter = ProgressMeter(total_users=4, stream=stream, interval_s=0.0)
@@ -110,6 +121,15 @@ class TestQueueProgressSender:
         sender.update(1, 10)
         sender.update(2, 20)
         assert len(queue.items) == 1
+
+    def test_first_sample_sent_on_fresh_host(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.progress.time",
+                            SimpleNamespace(monotonic=lambda: 0.001))
+        queue = FakeQueue()
+        sender = QueueProgressSender(0, queue, min_interval_s=0.25)
+        sender.update(1, 10)
+        sender.update(2, 20)
+        assert queue.items == [(0, 1, 10, False)]
 
     def test_finish_bypasses_throttle_and_marks_done(self):
         queue = FakeQueue()

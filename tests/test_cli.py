@@ -55,11 +55,11 @@ class TestCommands:
 
     def test_simulate_fast_backend(self, capsys):
         code = main(["simulate", "--users", "1", "--sessions", "1",
-                     "--files", "80", "--backend", "fast"])
+                     "--files", "80", "--backend", "fast-columnar"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Run summary" in out
-        assert "fast" in out
+        assert "fast-columnar" in out
 
     def test_real_and_mkfs(self, tmp_path, capsys):
         code = main(["mkfs", str(tmp_path / "fsroot"), "--files", "60",
@@ -116,7 +116,8 @@ class TestCommands:
         des_out = capsys.readouterr().out
         fast = main(["fleet", "run", "--scenario", "mixed-campus",
                      "--users", "4", "--shards", "2", "--workers", "1",
-                     "--seed", "7", "--files", "80", "--backend", "fast"])
+                     "--seed", "7", "--files", "80",
+                     "--backend", "fast-columnar"])
         fast_out = capsys.readouterr().out
         assert des == fast == 0
 
@@ -151,7 +152,7 @@ class TestCommands:
     def test_fleet_run_arrivals_shard_invariant_output(self, capsys):
         argv = ["fleet", "run", "--scenario", "mixed-campus", "--users", "4",
                 "--workers", "1", "--seed", "7", "--files", "80",
-                "--backend", "fast", "--arrivals"]
+                "--backend", "fast-columnar", "--arrivals"]
         assert main(argv + ["--shards", "1"]) == 0
         one = capsys.readouterr().out
         assert main(argv + ["--shards", "4"]) == 0
