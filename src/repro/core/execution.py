@@ -16,7 +16,7 @@ Two implementations ship:
   queueing and no engine.  A user's sessions arrive as one
   :class:`~repro.core.opbatch.OpBatch`; service times, start clocks and
   the time-limit cutoff are single array expressions, and batches flow
-  to batch-aware sinks via ``record_batch``.  The floor
+  to the sink via ``record_batch``.  The floor
   ``benchmarks/bench_backends.py`` enforces is 40x the DES's ops/s.
 
 Both record through the :class:`~repro.core.oplog.OpSink` protocol.
@@ -270,8 +270,7 @@ class ColumnarReplayBackend(ExecutionBackend):
       first-login offset, so every start equals the running clock sum;
     * a ``time_limit_us`` cutoff is one ``searchsorted`` over the
       (non-decreasing) op start column;
-    * the executed slice goes to the sink via ``record_batch`` when the
-      sink has one, else through the :meth:`OpBatch.to_records` bridge.
+    * each session's executed slice goes to the sink via ``record_batch``.
 
     ``tests/core/scalar_reference.py`` keeps the per-op replay loop as
     the oracle these records are compared against, timing included.
@@ -299,7 +298,6 @@ class ColumnarReplayBackend(ExecutionBackend):
         generator = task.generator
         user_id = generator.user_id
         type_name = generator.user_type.name
-        record_batch = getattr(log, "record_batch", None)
         offset = task.offset_us
         if limit is not None and offset >= limit:
             return min(offset, limit)
@@ -360,13 +358,7 @@ class ColumnarReplayBackend(ExecutionBackend):
                 break
             lo, hi = bounds[s], bounds[s + 1]
             executed = hi if hi <= cut else cut
-            sub = rec.select(slice(lo, executed))
-            if record_batch is not None:
-                record_batch(sub)
-            else:
-                record_op = log.record_op
-                for record in sub.to_records():
-                    record_op(record)
+            log.record_batch(rec.select(slice(lo, executed)))
             if executed < hi or (limit is not None
                                  and ends_list[s] > limit):
                 # Ops dropped, or a trailing think pushed the clock past

@@ -17,11 +17,11 @@ The batch is the unit the columnar pipeline moves around:
 * :class:`repro.core.execution.ColumnarReplayBackend` fills
   ``start_us``/``response_us`` with one array expression and hands the
   executed slice to the sink;
-* sinks that implement ``record_batch`` (:class:`~repro.core.oplog.
-  UsageLog`, :class:`~repro.fleet.merge.WorkloadTally`,
-  :class:`~repro.fleet.merge.ShardAccumulator`) fold whole batches with
-  ``np.bincount``-style reductions; everything else receives the batch
-  through the :meth:`to_records` bridge, one record at a time.
+* every :class:`~repro.core.oplog.OpSink` takes the batch through
+  ``record_batch``: the tallies (:class:`~repro.fleet.merge.
+  WorkloadTally`, :class:`~repro.fleet.merge.ShardAccumulator`) fold it
+  with ``np.bincount``-style reductions, :class:`~repro.core.oplog.
+  UsageLog` stores it through the :meth:`to_records` bridge.
 
 Determinism: a batch is a *representation*, never a re-sampling.  The
 bridges (:meth:`to_records`, :meth:`from_records`,

@@ -310,19 +310,15 @@ class OpSink(Protocol):
     :class:`repro.fleet.merge.ShardAccumulator` is the constant-memory
     one used for large fleet runs.
 
-    Sinks *may* additionally implement ``record_batch(batch: OpBatch)``
-    to fold whole columnar batches: the columnar backend probes for it
-    with ``getattr`` and otherwise falls back to per-record
-    ``record_op`` calls through the
-    :meth:`~repro.core.opbatch.OpBatch.to_records` bridge, so a sink
-    that only implements the two scalar methods keeps working — it just
-    forgoes the vectorized fold.  (``record_batch`` is deliberately not
-    part of the runtime-checkable protocol surface: listing it would
-    make ``isinstance(sink, OpSink)`` reject exactly the minimal sinks
-    the fallback exists for.)
+    The columnar backend and the stream-file replays hand op rows over
+    as whole :class:`~repro.core.opbatch.OpBatch` batches through
+    ``record_batch``; the DES records one op at a time through
+    ``record_op``.  Every sink implements all three methods.
     """
 
     def record_op(self, record: OpRecord) -> None: ...
+
+    def record_batch(self, batch: "OpBatch") -> None: ...
 
     def record_session(self, record: SessionRecord) -> None: ...
 

@@ -128,6 +128,7 @@ _FRAME_CHUNK = b"C"
 _FRAME_FOOTER = b"F"
 _HEAD_FMT = "<LL"  # frame length, crc32 (header frame)
 _FRAME_FMT = "<cQL"  # frame type, payload length, crc32
+_FRAME_HEAD = struct.calcsize(_FRAME_FMT)
 _TAIL_FMT = "<Q"  # footer frame offset (followed by MAGIC)
 _TAIL_BYTES = struct.calcsize(_TAIL_FMT) + len(MAGIC)
 
@@ -390,8 +391,38 @@ def _decode_chunk(payload: bytes, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Header parsing (shared by the reader, salvage, and verification)
+# Frame and header reading (shared by the reader, salvage, and verification)
 # ---------------------------------------------------------------------------
+
+
+def _must_read(stream, n: int, size: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of a ``size``-byte file, or raise.
+
+    Bound by the file size before reading: a corrupt length field must
+    surface as :class:`StreamFormatError`, not as a huge allocation.
+    """
+    if n < 0 or n > size:
+        raise StreamFormatError(f"truncated stream file: {what}")
+    raw = stream.read(n)
+    if len(raw) != n:
+        raise StreamFormatError(f"truncated stream file: {what}")
+    return raw
+
+
+def _read_frame(stream, offset: int, size: int, what: str):
+    """Read and CRC-check the frame at ``offset``.
+
+    Returns ``(kind, payload, end)``, ``end`` being the offset just past
+    the frame (where the next one starts: frames are contiguous).
+    """
+    stream.seek(offset)
+    kind, length, crc = struct.unpack(
+        _FRAME_FMT,
+        _must_read(stream, _FRAME_HEAD, size, f"{what} frame header"))
+    payload = _must_read(stream, length, size, f"{what} payload")
+    if zlib.crc32(payload) != crc:
+        raise StreamFormatError(f"{what} failed its checksum")
+    return kind, payload, offset + _FRAME_HEAD + length
 
 
 def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
@@ -401,30 +432,21 @@ def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
     the offset of the first frame.  Raises :class:`StreamFormatError`
     on any structural problem, exactly like :class:`StreamReader`.
     """
-
-    def must_read(n: int, what: str) -> bytes:
-        if n < 0 or n > size:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        raw = stream.read(n)
-        if len(raw) != n:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        return raw
-
     stream.seek(0)
     magic = stream.read(len(MAGIC))
     if magic != MAGIC:
         raise StreamFormatError(
             f"{path!r} is not an op-stream file (bad magic)"
         )
-    (version,) = struct.unpack("<H", must_read(2, "version"))
+    (version,) = struct.unpack("<H", _must_read(stream, 2, size, "version"))
     if version > FORMAT_VERSION:
         raise StreamFormatError(
             f"stream format version {version} is newer than this "
             f"reader (supports <= {FORMAT_VERSION})"
         )
-    length, crc = struct.unpack(
-        _HEAD_FMT, must_read(struct.calcsize(_HEAD_FMT), "header"))
-    raw = must_read(length, "header JSON")
+    length, crc = struct.unpack(_HEAD_FMT, _must_read(
+        stream, struct.calcsize(_HEAD_FMT), size, "header"))
+    raw = _must_read(stream, length, size, "header JSON")
     if zlib.crc32(raw) != crc:
         raise StreamFormatError("header failed its checksum")
     try:
@@ -444,6 +466,48 @@ def _parse_header(stream, size: int, path: str) -> tuple[int, dict, int]:
     if [tuple(c) for c in header.get("columns", [])] != list(_COLUMNS):
         raise StreamFormatError("stream file column schema mismatch")
     return version, header, stream.tell()
+
+
+# ---------------------------------------------------------------------------
+# Footer-index entries and chunk event order
+# ---------------------------------------------------------------------------
+
+_INDEX_KEYS = ("offset", "rows", "sessions", "user_lo", "user_hi",
+               "start_lo", "start_hi")
+
+
+def _index_entry(offset: int, batch: OpBatch, n_sessions: int) -> dict:
+    """The footer-index entry of one chunk frame (keys: _INDEX_KEYS)."""
+    n = len(batch)
+    return {
+        "offset": offset,
+        "rows": n,
+        "sessions": n_sessions,
+        "user_lo": int(batch.user_ids.min()) if n else None,
+        "user_hi": int(batch.user_ids.max()) if n else None,
+        "start_lo": float(batch.start_us.min()) if n else None,
+        "start_hi": float(batch.start_us.max()) if n else None,
+    }
+
+
+def _chunk_events(batch: OpBatch, sessions: list[tuple[int, SessionRecord]],
+                  row_start: int):
+    """Yield one chunk's events in recorded order.
+
+    ``(rows, None)`` is a non-empty run of op rows, ``(None, record)``
+    a session summary; each summary comes right after the op row at its
+    recorded global position (``row_start`` is the chunk's first row).
+    """
+    n = len(batch)
+    cursor = 0
+    for position, record in sessions:
+        local = min(max(position - row_start, 0), n)
+        if local > cursor:
+            yield batch.select(slice(cursor, local)), None
+            cursor = local
+        yield None, record
+    if cursor < n:
+        yield batch.select(slice(cursor, n)), None
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +730,7 @@ class StreamWriter:
                                        len(payload), zlib.crc32(payload)))
         self._stream.write(payload)
         if self._observer is not None:
-            framed = len(payload) + struct.calcsize(_FRAME_FMT)
+            framed = len(payload) + _FRAME_HEAD
             metrics = self._observer.metrics
             metrics.counter("stream.chunks").inc()
             metrics.counter("stream.rows").inc(take)
@@ -676,16 +740,7 @@ class StreamWriter:
                 time.perf_counter() - wall0, time.process_time() - cpu0,
                 rows=take, nbytes=framed,
             )
-        entry = {
-            "offset": offset,
-            "rows": take,
-            "sessions": len(sessions),
-            "user_lo": int(rows.user_ids.min()) if take else None,
-            "user_hi": int(rows.user_ids.max()) if take else None,
-            "start_lo": float(rows.start_us.min()) if take else None,
-            "start_hi": float(rows.start_us.max()) if take else None,
-        }
-        self._index.append(entry)
+        self._index.append(_index_entry(offset, rows, len(sessions)))
         self._rows_done = boundary
         self._buffered -= take
         self._sessions_done += len(sessions)
@@ -735,10 +790,8 @@ class StreamWriter:
 class TeeSink:
     """Fan one op stream out to several sinks (e.g. tally + stream file).
 
-    Batches go to batch-aware sinks as batches; any sink without
-    ``record_batch`` receives the same rows through the
-    :meth:`~repro.core.opbatch.OpBatch.to_records` bridge (converted
-    once per batch, however many scalar sinks are attached).
+    Every event goes to every sink through the same method it arrived
+    on: a batch stays one batch object, shared by all the sinks.
     """
 
     def __init__(self, *sinks):
@@ -753,17 +806,8 @@ class TeeSink:
             sink.record_session(record)
 
     def record_batch(self, batch: OpBatch) -> None:
-        records = None
         for sink in self.sinks:
-            fold = getattr(sink, "record_batch", None)
-            if fold is not None:
-                fold(batch)
-                continue
-            if records is None:
-                records = batch.to_records()
-            record_op = sink.record_op
-            for record in records:
-                record_op(record)
+            sink.record_batch(batch)
 
 
 class StreamFileSink:
@@ -923,16 +967,6 @@ class StreamReader:
 
     # -- parsing --------------------------------------------------------------
 
-    def _must_read(self, n: int, what: str) -> bytes:
-        # Bound by the file size before reading: a corrupt length field
-        # must surface as StreamFormatError, not as a huge allocation.
-        if n > self._size:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        raw = self._stream.read(n)
-        if len(raw) != n:
-            raise StreamFormatError(f"truncated stream file: {what}")
-        return raw
-
     def _read_header(self) -> None:
         version, header, _ = _parse_header(self._stream, self._size,
                                            self.path)
@@ -943,12 +977,11 @@ class StreamReader:
         self.kinds = tuple(header.get("kinds", ()))
 
     def _read_footer(self) -> None:
-        self._stream.seek(0, os.SEEK_END)
-        size = self._stream.tell()
+        size = self._size
         if size < _TAIL_BYTES:
             raise StreamFormatError("truncated stream file: no tail")
         self._stream.seek(size - _TAIL_BYTES)
-        tail = self._must_read(_TAIL_BYTES, "tail")
+        tail = _must_read(self._stream, _TAIL_BYTES, size, "tail")
         if tail[struct.calcsize(_TAIL_FMT):] != MAGIC:
             raise StreamFormatError(
                 "truncated stream file: missing footer (was the writer "
@@ -958,7 +991,8 @@ class StreamReader:
             _TAIL_FMT, tail[:struct.calcsize(_TAIL_FMT)])
         if not (0 < footer_offset < size - _TAIL_BYTES):
             raise StreamFormatError("corrupt tail: footer offset out of range")
-        kind, payload = self._read_frame(footer_offset, "footer")
+        kind, payload, _ = _read_frame(self._stream, footer_offset, size,
+                                       "footer")
         if kind != _FRAME_FOOTER:
             raise StreamFormatError("corrupt tail: offset is not a footer")
         try:
@@ -988,22 +1022,13 @@ class StreamReader:
                                     "with the total")
         self.chunk_index: tuple[ChunkInfo, ...] = tuple(chunks)
 
-    def _read_frame(self, offset: int, what: str):
-        self._stream.seek(offset)
-        head = self._must_read(struct.calcsize(_FRAME_FMT),
-                               f"{what} frame header")
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        payload = self._must_read(length, f"{what} payload")
-        if zlib.crc32(payload) != crc:
-            raise StreamFormatError(f"{what} failed its checksum")
-        return kind, payload
-
     # -- access ---------------------------------------------------------------
 
     def read_chunk(self, index: int) -> StreamChunk:
         """Decode chunk ``index`` (CRC-checked seek through the footer)."""
         info = self.chunk_index[index]
-        kind, payload = self._read_frame(info.offset, f"chunk {index}")
+        kind, payload, _ = _read_frame(self._stream, info.offset,
+                                       self._size, f"chunk {index}")
         if kind != _FRAME_CHUNK:
             raise StreamFormatError(f"chunk {index}: not a chunk frame")
         batch, sessions = _decode_chunk(payload, f"chunk {index}")
@@ -1062,38 +1087,21 @@ class StreamReader:
     def replay(self, sink) -> tuple[int, int]:
         """Re-emit the artifact's exact event stream into ``sink``.
 
-        Ops go through ``record_batch`` when the sink has one (the
-        fast-columnar consumption path), else through the record bridge;
-        session summaries interleave at their recorded positions.
-        Returns ``(op_rows, sessions)`` replayed.  Replaying into a new
-        :class:`StreamFileSink` with the same budget reproduces the
-        artifact byte for byte.
+        Ops go through ``record_batch``; session summaries interleave at
+        their recorded positions.  Returns ``(op_rows, sessions)``
+        replayed.  Replaying into a new :class:`StreamFileSink` with the
+        same budget reproduces the artifact byte for byte.
         """
-        record_batch = getattr(sink, "record_batch", None)
         rows = sessions = 0
         for chunk in self.iter_chunks():
-            batch = chunk.batch
-            cursor = 0
-            for position, record in chunk.sessions:
-                local = min(max(position - chunk.row_start, 0), len(batch))
-                if local > cursor:
-                    piece = batch.select(slice(cursor, local))
-                    if record_batch is not None:
-                        record_batch(piece)
-                    else:
-                        for op in piece.to_records():
-                            sink.record_op(op)
-                    cursor = local
-                sink.record_session(record)
-                sessions += 1
-            if cursor < len(batch):
-                piece = batch.select(slice(cursor, len(batch)))
-                if record_batch is not None:
-                    record_batch(piece)
+            for piece, record in _chunk_events(chunk.batch, chunk.sessions,
+                                               chunk.row_start):
+                if record is None:
+                    sink.record_batch(piece)
                 else:
-                    for op in piece.to_records():
-                        sink.record_op(op)
-            rows += len(batch)
+                    sink.record_session(record)
+                    sessions += 1
+            rows += len(chunk.batch)
         return rows, sessions
 
     def info_kv(self) -> dict:
@@ -1159,50 +1167,32 @@ def _iter_user_groups(reader: StreamReader):
     current: int | None = None
     events: list = []
     for chunk in reader.iter_chunks():
-        batch = chunk.batch
-        n = len(batch)
-        boundaries: list[tuple[int, SessionRecord | None]] = [
-            (min(max(pos - chunk.row_start, 0), n), rec)
-            for pos, rec in chunk.sessions
-        ]
-        boundaries.append((n, None))
-        cursor = 0
-        for local, record in boundaries:
-            if local > cursor:
-                seg = batch.select(slice(cursor, local))
-                uids = seg.user_ids
-                splits = list(np.flatnonzero(np.diff(uids)) + 1) + [len(seg)]
-                start = 0
-                for stop in splits:
-                    sub = seg.select(slice(start, int(stop)))
-                    uid = int(sub.user_ids[0])
-                    if uid != current:
-                        if current is not None:
-                            yield current, events
-                            if uid <= current:
-                                raise StreamFormatError(
-                                    f"{reader.path}: user {uid} follows "
-                                    f"user {current}; stream merge needs "
-                                    "user-contiguous artifacts (engine-free "
-                                    "backends)"
-                                )
-                        current, events = uid, []
-                    events.append(("rows", sub))
-                    start = int(stop)
-                cursor = local
-            if record is not None:
-                uid = record.user_id
+        for rows, record in _chunk_events(chunk.batch, chunk.sessions,
+                                          chunk.row_start):
+            if rows is None:
+                tagged = [(record.user_id, ("session", record))]
+            else:
+                uids = rows.user_ids
+                cuts = [0, *(np.flatnonzero(np.diff(uids)) + 1).tolist(),
+                        len(rows)]
+                tagged = [
+                    (int(uids[lo]), ("rows", rows if hi - lo == len(rows)
+                                     else rows.select(slice(lo, hi))))
+                    for lo, hi in zip(cuts, cuts[1:])
+                ]
+            for uid, event in tagged:
                 if uid != current:
                     if current is not None:
                         yield current, events
                         if uid <= current:
                             raise StreamFormatError(
-                                f"{reader.path}: session for user {uid} "
-                                f"follows user {current}; stream merge "
-                                "needs user-contiguous artifacts"
+                                f"{reader.path}: user {uid} follows user "
+                                f"{current}; stream merge needs "
+                                "user-contiguous artifacts (engine-free "
+                                "backends)"
                             )
                     current, events = uid, []
-                events.append(("session", record))
+                events.append(event)
     if current is not None:
         yield current, events
 
@@ -1292,60 +1282,30 @@ def merge_stream_files(output: str, inputs: Iterable[str],
 # ---------------------------------------------------------------------------
 
 
-def _entry_from_chunk(offset: int, batch: OpBatch,
-                      sessions: list) -> dict:
-    """A writer-style index entry rebuilt from a decoded chunk."""
-    n = len(batch)
-    return {
-        "offset": offset,
-        "rows": n,
-        "sessions": len(sessions),
-        "user_lo": int(batch.user_ids.min()) if n else None,
-        "user_hi": int(batch.user_ids.max()) if n else None,
-        "start_lo": float(batch.start_us.min()) if n else None,
-        "start_hi": float(batch.start_us.max()) if n else None,
-    }
-
-
 def _sequential_scan(stream, size: int, data_start: int):
     """Walk chunk frames forward from ``data_start``, CRC-checking each.
 
     Returns ``(entries, data_end, error)``: the index entries of every
     intact chunk frame before the first problem, the offset just past
     the last of them, and a description of what stopped the walk (None
-    when it ended cleanly at a footer frame or at end of data).
+    when it ended cleanly at an intact footer frame or at end of data).
     """
-    frame_head = struct.calcsize(_FRAME_FMT)
     entries: list[dict] = []
     pos = data_start
-    while True:
-        if pos == size:
-            return entries, pos, None
-        stream.seek(pos)
-        head = stream.read(frame_head)
-        if len(head) < frame_head:
-            return entries, pos, f"truncated frame header at offset {pos}"
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        if kind == _FRAME_FOOTER:
-            return entries, pos, None
-        if kind != _FRAME_CHUNK:
-            return entries, pos, f"unknown frame type {kind!r} at offset {pos}"
-        if pos + frame_head + length > size:
-            return entries, pos, f"truncated chunk payload at offset {pos}"
-        payload = stream.read(length)
-        if len(payload) != length:
-            return entries, pos, f"truncated chunk payload at offset {pos}"
-        if zlib.crc32(payload) != crc:
-            return (entries, pos,
-                    f"chunk {len(entries)} failed its checksum "
-                    f"(offset {pos})")
+    while pos != size:
+        what = f"chunk {len(entries)}"
         try:
-            batch, sessions = _decode_chunk(
-                payload, f"chunk {len(entries)}")
+            kind, payload, end = _read_frame(stream, pos, size, what)
+            if kind == _FRAME_FOOTER:
+                break
+            if kind != _FRAME_CHUNK:
+                raise StreamFormatError(f"unknown frame type {kind!r}")
+            batch, sessions = _decode_chunk(payload, what)
         except StreamFormatError as exc:
-            return entries, pos, str(exc)
-        entries.append(_entry_from_chunk(pos, batch, sessions))
-        pos += frame_head + length
+            return entries, pos, f"{exc} (offset {pos})"
+        entries.append(_index_entry(pos, batch, len(sessions)))
+        pos = end
+    return entries, pos, None
 
 
 @dataclass
@@ -1391,24 +1351,15 @@ class SalvagedStream:
     data_end: int
 
     def _iter_chunks(self):
-        frame_head = struct.calcsize(_FRAME_FMT)
         with open(self.path, "rb") as stream:
+            size = os.fstat(stream.fileno()).st_size
             for i, entry in enumerate(self.index):
-                stream.seek(int(entry["offset"]))
-                head = stream.read(frame_head)
-                if len(head) < frame_head:
-                    raise StreamFormatError(
-                        f"{self.path}: salvaged chunk {i} vanished"
-                    )
-                kind, length, crc = struct.unpack(_FRAME_FMT, head)
-                payload = stream.read(length)
-                if (kind != _FRAME_CHUNK or len(payload) != length
-                        or zlib.crc32(payload) != crc):
-                    raise StreamFormatError(
-                        f"{self.path}: salvaged chunk {i} failed "
-                        "re-verification"
-                    )
-                yield _decode_chunk(payload, f"salvaged chunk {i}")
+                what = f"{self.path}: salvaged chunk {i}"
+                kind, payload, _ = _read_frame(
+                    stream, int(entry["offset"]), size, what)
+                if kind != _FRAME_CHUNK:
+                    raise StreamFormatError(f"{what}: not a chunk frame")
+                yield _decode_chunk(payload, what)
 
     def replay(self, sink) -> ReplaySummary:
         """Re-emit the salvaged prefix into ``sink`` (see StreamReader).
@@ -1418,48 +1369,28 @@ class SalvagedStream:
         ends up exactly as if it had seen the original events.  The
         returned summary carries the resume boundary.
         """
-        record_batch = getattr(sink, "record_batch", None)
         out = ReplaySummary()
         row_start = 0
-
-        def emit(piece: OpBatch) -> None:
-            if not len(piece):
-                return
-            if record_batch is not None:
-                record_batch(piece)
-            else:
-                for op in piece.to_records():
-                    sink.record_op(op)
-            end = float((piece.start_us + piece.response_us).max())
-            if end > out.max_end_us:
-                out.max_end_us = end
-            last = int(piece.user_ids[-1])
-            if out.last_user is None or last > out.last_user:
-                out.last_user = last
-                out.last_user_rows = 0
-                out.last_user_sessions = 0
-            out.last_user_rows += int((piece.user_ids == last).sum())
-
         for batch, sessions in self._iter_chunks():
-            cursor = 0
-            for position, record in sessions:
-                local = min(max(position - row_start, 0), len(batch))
-                if local > cursor:
-                    emit(batch.select(slice(cursor, local)))
-                    cursor = local
-                sink.record_session(record)
-                out.sessions += 1
-                uid = int(record.user_id)
+            for rows, record in _chunk_events(batch, sessions, row_start):
+                if record is None:
+                    sink.record_batch(rows)
+                    end = float((rows.start_us + rows.response_us).max())
+                    uid = int(rows.user_ids[-1])
+                else:
+                    sink.record_session(record)
+                    out.sessions += 1
+                    end = float(record.end_us)
+                    uid = int(record.user_id)
+                out.max_end_us = max(out.max_end_us, end)
                 if out.last_user is None or uid > out.last_user:
                     out.last_user = uid
                     out.last_user_rows = 0
                     out.last_user_sessions = 0
-                if uid == out.last_user:
+                if record is None:
+                    out.last_user_rows += int((rows.user_ids == uid).sum())
+                elif uid == out.last_user:
                     out.last_user_sessions += 1
-                if record.end_us > out.max_end_us:
-                    out.max_end_us = float(record.end_us)
-            if cursor < len(batch):
-                emit(batch.select(slice(cursor, len(batch))))
             row_start += len(batch)
             out.rows += len(batch)
         return out
@@ -1481,18 +1412,8 @@ def salvage_stream(path: str) -> SalvagedStream:
         raise StreamFormatError(f"cannot stat stream file: {exc}") from None
     try:
         with StreamReader(path) as reader:
-            entries = [
-                {
-                    "offset": info.offset,
-                    "rows": info.rows,
-                    "sessions": info.sessions,
-                    "user_lo": info.user_lo,
-                    "user_hi": info.user_hi,
-                    "start_lo": info.start_lo,
-                    "start_hi": info.start_hi,
-                }
-                for info in reader.chunk_index
-            ]
+            entries = [{key: getattr(info, key) for key in _INDEX_KEYS}
+                       for info in reader.chunk_index]
             return SalvagedStream(
                 path=path, version=reader.version,
                 rows_per_chunk=reader.rows_per_chunk,
@@ -1506,21 +1427,17 @@ def salvage_stream(path: str) -> SalvagedStream:
     with open(path, "rb") as stream:
         version, header, data_start = _parse_header(stream, size, path)
         rows_per_chunk = int(header["rows_per_chunk"])
-        entries = _salvage_via_sidecar(stream, size, path, rows_per_chunk)
-        if entries is None:
-            entries, _, _ = _sequential_scan(stream, size, data_start)
-    frame_head = struct.calcsize(_FRAME_FMT)
+        found = _salvage_via_sidecar(stream, size, path, rows_per_chunk,
+                                     data_start)
+        if found is None:
+            found = _sequential_scan(stream, size, data_start)[:2]
+    entries, data_end = found
     # Only full chunks resume on the original boundaries; a short tail
     # chunk (written by a crashed close()) is dropped and regenerated.
+    # Frames are contiguous, so the dropped chunk's offset is where the
+    # kept prefix ends.
     while entries and int(entries[-1]["rows"]) != rows_per_chunk:
-        entries.pop()
-    data_end = data_start
-    if entries:
-        with open(path, "rb") as stream:
-            stream.seek(int(entries[-1]["offset"]))
-            head = stream.read(frame_head)
-            _, length, _ = struct.unpack(_FRAME_FMT, head)
-            data_end = int(entries[-1]["offset"]) + frame_head + length
+        data_end = int(entries.pop()["offset"])
     return SalvagedStream(
         path=path, version=version, rows_per_chunk=rows_per_chunk,
         metadata=dict(header.get("metadata", {})), complete=False,
@@ -1530,9 +1447,14 @@ def salvage_stream(path: str) -> SalvagedStream:
     )
 
 
-def _salvage_via_sidecar(stream, size: int, path: str,
-                         rows_per_chunk: int) -> "list[dict] | None":
-    """Re-verify the chunks a checkpoint sidecar claims, or None."""
+def _salvage_via_sidecar(stream, size: int, path: str, rows_per_chunk: int,
+                         data_start: int) -> "tuple[list[dict], int] | None":
+    """Re-verify the chunks a checkpoint sidecar claims, or None.
+
+    Returns ``(entries, data_end)`` like :func:`_sequential_scan`:
+    the verified prefix of the claimed index and the offset just past
+    its last frame (``data_start`` when nothing verified).
+    """
     sidecar = path + CHECKPOINT_SUFFIX
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
@@ -1548,31 +1470,27 @@ def _salvage_via_sidecar(stream, size: int, path: str,
         claimed = list(state["index"])
     except (KeyError, TypeError, ValueError):
         return None
-    frame_head = struct.calcsize(_FRAME_FMT)
     entries: list[dict] = []
-    expected_offset = None
+    data_end = data_start
     for entry in claimed:
         try:
             offset = int(entry["offset"])
         except (KeyError, TypeError, ValueError):
             break
-        # Chunk frames are contiguous; a sidecar claiming an entry that
-        # does not start where the previous frame ended is lying.
-        if expected_offset is not None and offset != expected_offset:
+        # Chunk frames are contiguous from the header on; a sidecar
+        # claiming an entry that does not start where the previous frame
+        # ended is lying.
+        if offset != data_end:
             break
-        stream.seek(offset)
-        head = stream.read(frame_head)
-        if len(head) < frame_head:
+        try:
+            kind, _, end = _read_frame(stream, offset, size, "claimed chunk")
+        except StreamFormatError:
             break
-        kind, length, crc = struct.unpack(_FRAME_FMT, head)
-        if kind != _FRAME_CHUNK or offset + frame_head + length > size:
-            break
-        payload = stream.read(length)
-        if len(payload) != length or zlib.crc32(payload) != crc:
+        if kind != _FRAME_CHUNK:
             break
         entries.append(dict(entry))
-        expected_offset = offset + frame_head + length
-    return entries
+        data_end = end
+    return entries, data_end
 
 
 def resume_stream_sink(path: str,

@@ -206,7 +206,6 @@ class _FaultSink:
         self.inner = inner
         self._triggers = sorted(triggers, key=lambda s: s.row)
         self._rows = 0
-        self._inner_batch = getattr(inner, "record_batch", None)
 
     def _fire(self, spec: FaultSpec) -> None:
         if spec.kind == "kill":
@@ -232,21 +231,12 @@ class _FaultSink:
                 self._triggers[0].row:
             spec = self._triggers.pop(0)
             cut = spec.row - self._rows
-            head = batch.select(slice(0, cut))
-            if self._inner_batch is not None:
-                self._inner_batch(head)
-            else:
-                for record in head.to_records():
-                    self.inner.record_op(record)
+            self.inner.record_batch(batch.select(slice(0, cut)))
             self._rows += cut
             batch = batch.select(slice(cut, len(batch)))
             self._fire(spec)
         if len(batch):
-            if self._inner_batch is not None:
-                self._inner_batch(batch)
-            else:
-                for record in batch.to_records():
-                    self.inner.record_op(record)
+            self.inner.record_batch(batch)
             self._rows += len(batch)
 
     def record_session(self, record) -> None:

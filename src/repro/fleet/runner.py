@@ -94,7 +94,7 @@ from ..obs import (
 from ..sim import RunningStats
 from .merge import ShardAccumulator, WorkloadTally
 from .sharding import ShardPlan, plan_shards
-from .supervisor import ShardFailure, ShardSupervisor
+from .supervisor import ShardFailure, ShardSupervisor, backoff_delay
 
 __all__ = [
     "FleetConfig",
@@ -166,9 +166,9 @@ class FleetConfig:
     shards still failing are quarantined and surface through
     :class:`FleetPartialError` unless ``allow_partial`` accepts partial
     results.  ``faults`` arms deterministic failures
-    (:class:`~repro.faults.FaultSpec`) for tests and chaos runs;
-    ``verify_shard_streams`` CRC-walks each shard artifact in the
-    coordinator (default: only when faults are armed).  ``resume_dir``
+    (:class:`~repro.faults.FaultSpec`) for tests and chaos runs; while
+    faults are armed the coordinator also CRC-walks each shard's stream
+    artifact, so a corrupted shard retries.  ``resume_dir``
     continues a killed run from its run directory (``keep_run_dir``
     preserves that directory when a run fails so it *can* be resumed).
 
@@ -207,7 +207,6 @@ class FleetConfig:
     resume_dir: str | None = None
     allow_partial: bool = False
     keep_run_dir: bool = False
-    verify_shard_streams: bool | None = None
 
     def __post_init__(self) -> None:
         if (self.scenario is None) == (self.spec is None):
@@ -510,7 +509,6 @@ class _SkipSink:
         self.inner = inner
         self._rows = int(skip_rows)
         self._sessions = int(skip_sessions)
-        self._inner_batch = getattr(inner, "record_batch", None)
 
     def record_op(self, record) -> None:
         if self._rows > 0:
@@ -526,11 +524,7 @@ class _SkipSink:
                 return
             batch = batch.select(slice(self._rows, n))
             self._rows = 0
-        if self._inner_batch is not None:
-            self._inner_batch(batch)
-        else:
-            for record in batch.to_records():
-                self.inner.record_op(record)
+        self.inner.record_batch(batch)
 
     def record_session(self, record) -> None:
         if self._sessions > 0:
@@ -728,13 +722,6 @@ def _verify_outcome(task: _ShardTask, outcome) -> str | None:
     return "; ".join(report.errors[:3]) or "stream artifact corrupt"
 
 
-def _backoff_delay(backoff_s: float, attempt: int) -> float:
-    """Backoff before retry attempt ``attempt`` (2, 3, ...)."""
-    if attempt <= 1 or backoff_s <= 0.0:
-        return 0.0
-    return min(backoff_s * (2.0 ** (attempt - 2)), 30.0)
-
-
 def _run_shards_inline(tasks: "list[_ShardTask]",
                        meter: "ProgressMeter | None", *,
                        max_retries: int = 0, backoff_s: float = 0.0,
@@ -778,7 +765,7 @@ def _run_shards_inline(tasks: "list[_ShardTask]",
                         quarantined.append(shard)
                         break
                     retries += 1
-                    delay = _backoff_delay(backoff_s, attempt + 1)
+                    delay = backoff_delay(backoff_s, attempt + 1)
                     recovery_s += delay
                     if delay:
                         time.sleep(delay)
@@ -1042,11 +1029,8 @@ def run_fleet(config: FleetConfig) -> FleetResult:
             resume=task.resume or (attempt > 1 and task.checkpoint),
         )
 
-    verify_streams = config.verify_shard_streams
-    if verify_streams is None:
-        verify_streams = bool(config.faults)
     verifier = (_verify_outcome
-                if verify_streams and config.out_stream is not None else None)
+                if config.faults and config.out_stream is not None else None)
     needs_isolation = any(f.needs_isolation for f in config.faults)
     supervised = (workers > 1 or needs_isolation
                   or config.shard_timeout_s is not None)

@@ -16,11 +16,12 @@ supervisor replaces the pool with explicitly owned workers:
   by the shards' :class:`~repro.obs.progress.QueueProgressSender`
   heartbeats; a worker silent past ``timeout_s`` is killed and its
   attempt failed;
-* **deterministic retry** — a failed shard is requeued with exponential
-  backoff (``backoff_s * 2**(attempt-1)``) into a fresh worker, up to
-  ``max_retries`` retries.  Because shard generation is a pure function
-  of (spec, seed, shard range), the retried attempt reproduces the
-  original bytes exactly;
+* **deterministic retry** — a failed shard is requeued into a fresh
+  worker, up to ``max_retries`` retries, after an exponential backoff:
+  :func:`backoff_delay` waits ``backoff_s * 2**(attempt-2)`` before
+  attempt 2, 3, ..., capped at 30 s.  Because shard generation is a
+  pure function of (spec, seed, shard range), the retried attempt
+  reproduces the original bytes exactly;
 * **quarantine** — a shard that exhausts its retries is quarantined:
   the remaining shards still complete, and the report names the
   casualties so the caller can emit a partial-run manifest instead of
@@ -41,11 +42,23 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["ShardFailure", "SupervisorReport", "ShardSupervisor"]
+__all__ = ["ShardFailure", "SupervisorReport", "ShardSupervisor",
+           "backoff_delay"]
 
 _POLL_S = 0.02
 _JOIN_GRACE_S = 2.0
 _BACKOFF_CAP_S = 30.0
+
+
+def backoff_delay(backoff_s: float, attempt: int) -> float:
+    """Delay before launching ``attempt`` (attempt 1 is immediate).
+
+    Attempt 2 waits ``backoff_s``, each later one twice the previous,
+    capped at 30 s.
+    """
+    if attempt <= 1 or backoff_s <= 0.0:
+        return 0.0
+    return min(backoff_s * (2.0 ** (attempt - 2)), _BACKOFF_CAP_S)
 
 
 @dataclass(frozen=True)
@@ -134,8 +147,7 @@ class ShardSupervisor:
     def __init__(self, tasks, *, ctx, run_shard, workers: int,
                  max_retries: int = 2, backoff_s: float = 0.25,
                  timeout_s: float | None = None, meter=None,
-                 verify=None, retask=None, initializer=None,
-                 on_failure=None):
+                 verify=None, retask=None, initializer=None):
         self._tasks = list(tasks)
         self._ctx = ctx
         self._run_shard = run_shard
@@ -147,7 +159,6 @@ class ShardSupervisor:
         self._verify = verify
         self._retask = retask
         self._initializer = initializer
-        self._on_failure = on_failure
 
     # -- internals ------------------------------------------------------------
 
@@ -161,12 +172,6 @@ class ShardSupervisor:
         )
         process.start()
         return _Worker(process, task_queue)
-
-    def _backoff(self, attempt: int) -> float:
-        """Delay before launching ``attempt`` (attempt 1 is immediate)."""
-        if attempt <= 1 or self._backoff_s <= 0.0:
-            return 0.0
-        return min(self._backoff_s * (2.0 ** (attempt - 2)), _BACKOFF_CAP_S)
 
     # -- event loop -----------------------------------------------------------
 
@@ -192,15 +197,13 @@ class ShardSupervisor:
             failure = ShardFailure(shard_index=shard, attempt=attempt,
                                    reason=reason, detail=detail)
             report.failures.append(failure)
-            if self._on_failure is not None:
-                self._on_failure(failure)
             # Invalidate the attempt so a zombie's late result is stale.
             current_attempt[shard] = 0
             if attempt > self._max_retries:
                 quarantined.add(shard)
                 return
             report.retries += 1
-            delay = self._backoff(attempt + 1)
+            delay = backoff_delay(self._backoff_s, attempt + 1)
             report.recovery_wall_s += delay
             waiting.append((time.monotonic() + delay, shard, attempt + 1))
 

@@ -291,20 +291,17 @@ class ObservingSink:
     parallel-Welford tolerance of per-batch folding.  The scalar path
     pays a few attribute updates per record and is deliberately not
     timed — two clock reads per op would cost more than the accounting
-    itself.  If the wrapped sink has no ``record_batch``, batches are
-    bridged through :meth:`~repro.core.opbatch.OpBatch.to_records`
-    exactly the way the executors themselves would have bridged them,
-    so wrapping never changes what the inner sink receives.
+    itself.  The inner sink receives every event exactly as it would
+    unwrapped.
     """
 
-    __slots__ = ("inner", "observer", "_inner_batch", "_times",
+    __slots__ = ("inner", "observer", "_times",
                  "_sessions", "_bytes", "_response", "_hist",
                  "_pending_response", "_pending_sizes", "_pending_rows")
 
     def __init__(self, inner, observer: RunObserver):
         self.inner = inner
         self.observer = observer
-        self._inner_batch = getattr(inner, "record_batch", None)
         self._times = observer.stage_times("sink")
         metrics = observer.metrics
         self._sessions = metrics.counter("sessions")
@@ -330,12 +327,7 @@ class ObservingSink:
         n = len(batch)
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        if self._inner_batch is not None:
-            self._inner_batch(batch)
-        else:
-            record_op = self.inner.record_op
-            for record in batch.to_records():
-                record_op(record)
+        self.inner.record_batch(batch)
         self._pending_response.append(batch.response_us)
         self._pending_sizes.append(batch.sizes)
         self._pending_rows += n

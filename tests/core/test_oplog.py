@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import OpRecord, SessionRecord, UsageLog
+from repro.core import OpBatch, OpRecord, OpSink, SessionRecord, UsageLog
+from repro.core.streamfile import StreamFileSink, StreamReader, TeeSink
+from repro.faults import _FaultSink
+from repro.fleet.merge import ShardAccumulator, WorkloadTally
+from repro.fleet.runner import _SkipSink
+from repro.obs import RunObserver
 
 
 def op(kind="read", size=100, user=0, session=0, response=12.5):
@@ -223,3 +228,51 @@ class TestRobustRoundTrip:
         line = op().to_line().replace("/user00/f", "/user00/f\\")
         with pytest.raises(ValueError, match="dangling escape"):
             OpRecord.from_line(line)
+
+
+def _terminal(make):
+    return lambda tmp_path: (make(), None)
+
+
+def _wrapping(make):
+    def build(tmp_path):
+        inner = UsageLog()
+        return make(inner), inner
+    return build
+
+
+def _stream_file(tmp_path):
+    return StreamFileSink(str(tmp_path / "s.opstream")), None
+
+
+SHIPPED_SINKS = {
+    "UsageLog": _terminal(UsageLog),
+    "WorkloadTally": _terminal(WorkloadTally),
+    "ShardAccumulator": _terminal(ShardAccumulator),
+    "StreamFileSink": _stream_file,
+    "TeeSink": _wrapping(lambda inner: TeeSink(inner, WorkloadTally())),
+    "ObservingSink": _wrapping(lambda inner: RunObserver().wrap_sink(inner)),
+    "_FaultSink": _wrapping(lambda inner: _FaultSink(inner, [])),
+    "_SkipSink": _wrapping(lambda inner: _SkipSink(inner, 0, 0)),
+}
+
+
+class TestSinkContract:
+    """Every shipped sink implements the whole OpSink protocol."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_SINKS))
+    def test_sink_takes_ops_batches_and_sessions(self, tmp_path, name):
+        sink, inner = SHIPPED_SINKS[name](tmp_path)
+        assert isinstance(sink, OpSink)
+        batch = OpBatch.from_records([op("open", size=0), op("read")])
+        sink.record_batch(batch)
+        sink.record_op(op("close", size=0))
+        sink.record_session(session())
+        if inner is not None:
+            assert inner.operations == [*batch.to_records(),
+                                        op("close", size=0)]
+            assert inner.sessions == [session()]
+        if isinstance(sink, StreamFileSink):
+            sink.close()
+            with StreamReader(sink.path) as reader:
+                assert (reader.total_rows, reader.total_sessions) == (3, 1)

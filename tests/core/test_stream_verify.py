@@ -186,6 +186,40 @@ class TestSalvage:
         salvaged = salvage_stream(clean_artifact)
         assert salvaged.complete
 
+    @pytest.mark.parametrize("keep_sidecar", [True, False],
+                             ids=["sidecar", "scan"])
+    def test_short_tail_chunk_dropped_and_resumed(
+            self, tmp_path, events, clean_artifact, monkeypatch,
+            keep_sidecar):
+        # Crash between the tail-chunk flush and the footer write: every
+        # chunk is on disk, the last one short, and there is no footer.
+        path = str(tmp_path / "tail.opstream")
+        sink = StreamFileSink(path, memory_budget_bytes=BUDGET,
+                              checkpoint=True)
+        _feed(sink, events.events)
+
+        def crash(writer):
+            raise OSError("crashed before the footer")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StreamWriter, "_write_footer", crash)
+            with pytest.raises(OSError, match="footer"):
+                sink.close()
+        if not keep_sidecar:
+            os.unlink(path + CHECKPOINT_SUFFIX)
+        with StreamReader(clean_artifact) as reader:
+            tail = reader.chunk_index[-1]
+            assert tail.rows < reader.rows_per_chunk
+        salvaged = salvage_stream(path)
+        assert not salvaged.complete
+        assert len(salvaged.index) == tail.index  # the short chunk is gone
+        assert salvaged.data_end == tail.offset
+        resumed, _ = resume_stream_sink(path, memory_budget_bytes=BUDGET)
+        _feed(resumed, events.events, skip_rows=salvaged.rows,
+              skip_sessions=salvaged.sessions)
+        resumed.close()
+        assert open(path, "rb").read() == open(clean_artifact, "rb").read()
+
 
 class TestResume:
     @pytest.mark.parametrize("stop_after", [40, 100, 333])

@@ -528,7 +528,7 @@ class _CountingBatchSink(UsageLog):
 
 
 class _ScalarOnlySink:
-    """No ``record_batch`` at all — must be fed through the bridge."""
+    """Records ops and sessions one call at a time (no ``record_batch``)."""
 
     def __init__(self):
         self.ops = []
@@ -572,22 +572,6 @@ class TestTeeSinkBatchPath:
         TeeSink(a, b).record_batch(batch)
         assert a.batches == [batch] and b.batches == [batch]
         assert a.operations == batch.to_records()
-
-    def test_scalar_only_sink_gets_bridged_rows(self):
-        batch_aware, scalar = _CountingBatchSink(), _ScalarOnlySink()
-        batch = self._batch()
-        TeeSink(batch_aware, scalar).record_batch(batch)
-        assert batch_aware.batches == [batch]
-        assert scalar.ops == batch.to_records()
-
-    def test_bridge_converts_once_for_many_scalar_sinks(self):
-        scalars = [_ScalarOnlySink() for _ in range(3)]
-        batch = _ConversionCountingBatch(self._batch())
-        TeeSink(*scalars).record_batch(batch)
-        assert batch.conversions == 1
-        expected = batch.to_records()
-        for sink in scalars:
-            assert sink.ops == expected
 
     def test_all_batch_aware_never_converts(self):
         class BatchOnly:

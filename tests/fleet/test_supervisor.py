@@ -20,6 +20,7 @@ from repro.faults import (
     random_faults,
 )
 from repro.fleet import FleetConfig, FleetPartialError, run_fleet
+from repro.fleet.supervisor import backoff_delay
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning")
@@ -41,6 +42,21 @@ def clean(tmp_path):
     """The fault-free reference artifact + result."""
     result = run_fleet(_config(tmp_path, name="clean.opstream"))
     return result
+
+
+class TestBackoffDelay:
+    def test_schedule_doubles_from_the_second_attempt(self):
+        b = 0.25
+        assert [backoff_delay(b, attempt) for attempt in range(1, 6)] == [
+            0.0, b, 2 * b, 4 * b, 8 * b]
+
+    def test_capped_at_thirty_seconds(self):
+        assert backoff_delay(0.25, 9) == 30.0  # 0.25 * 2**7 = 32
+        assert backoff_delay(0.25, 8) == 16.0
+        assert backoff_delay(10.0, 40) == 30.0
+
+    def test_zero_backoff_never_waits(self):
+        assert backoff_delay(0.0, 5) == 0.0
 
 
 class TestFaultSpecs:

@@ -22,7 +22,7 @@ def make_records(n=4):
 
 
 class ScalarOnlySink:
-    """OpSink with no ``record_batch`` — forces the bridge path."""
+    """Records ops and sessions one call at a time (no ``record_batch``)."""
 
     def __init__(self):
         self.ops = []
@@ -157,19 +157,6 @@ class TestObservingSink:
         assert (obs.metrics.counter("bytes_moved").value
                 == int(batch.sizes.sum()))
         assert obs.stages["sink"].bytes == int(batch.sizes.sum())
-
-    def test_batch_path_bridges_for_scalar_only_inner(self):
-        obs = RunObserver()
-        inner = ScalarOnlySink()
-        sink = obs.wrap_sink(inner)
-        batch = OpBatch.from_records(make_records(3))
-        sink.record_batch(batch)
-        # The bridge must hand the inner sink exactly what the executor's
-        # own to_records fallback would have handed it.
-        assert inner.ops == batch.to_records()
-        assert obs.metrics.counter("ops").value == 3
-        sink.flush()
-        assert obs.metrics.stat("response_us").count == 3
 
     def test_snapshot_flushes_deferred_batch_accounting(self):
         obs = RunObserver()
